@@ -38,16 +38,20 @@ cv::OneStageDetector& sharedDetector() {
   return detector;
 }
 
+// aui:0 composites a benign screen; aui:1 an AUI, whose full-frame
+// translucent scrim blends every pixel — where capture time actually goes.
 void BM_WindowCompositing(benchmark::State& state) {
   android::AndroidSystem system;
   apps::ScreenGenerator generator(apps::ScreenGenerator::Params{}, 3);
-  apps::GeneratedScreen screen = generator.makeBenign();
+  apps::GeneratedScreen screen = state.range(0) != 0
+                                     ? generator.makeAui(generator.randomSpec())
+                                     : generator.makeBenign();
   system.windowManager.showAppWindow("com.app", std::move(screen.root), false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(system.windowManager.composite());
   }
 }
-BENCHMARK(BM_WindowCompositing);
+BENCHMARK(BM_WindowCompositing)->ArgName("aui")->Arg(0)->Arg(1);
 
 void BM_FeatureMapExtraction(benchmark::State& state) {
   const gfx::Bitmap& image = sampleScreenshot().image;

@@ -81,6 +81,14 @@ void Bitmap::boundsFailure(int x, int y) const {
                width_, height_);
   std::abort();
 }
+
+void Bitmap::spanFailure(int y, int x0, int x1) const {
+  std::fprintf(stderr,
+               "Bitmap bounds violation: span [%d, %d) of row %d outside "
+               "%dx%d\n",
+               x0, x1, y, width_, height_);
+  std::abort();
+}
 #endif
 
 Color Bitmap::atClamped(int x, int y) const {
@@ -95,6 +103,33 @@ void Bitmap::blendPixel(int x, int y, Color c) {
   set(x, y, blend(at(x, y), c));
 }
 
+void Bitmap::blendSpan(int y, int x0, int x1, Color c) {
+#if DARPA_BOUNDS_CHECKS
+  checkSpan(y, x0, x1);
+#endif
+  if (c.a == 0) return;
+  Color* const row = data_ + static_cast<std::size_t>(y) * width_;
+  if (c.a == 255) {
+    std::fill(row + x0, row + x1, c);
+    return;
+  }
+  // blend()'s opaque-destination branch with the source terms hoisted out
+  // of the loop; a translucent destination pixel takes the general blend.
+  const int inv = 255 - c.a;
+  const int sr = c.r * c.a;
+  const int sg = c.g * c.a;
+  const int sb = c.b * c.a;
+  for (Color* p = row + x0; p != row + x1; ++p) {
+    if (p->a != 255) {
+      *p = blend(*p, c);
+      continue;
+    }
+    p->r = static_cast<std::uint8_t>((sr + p->r * inv) / 255);
+    p->g = static_cast<std::uint8_t>((sg + p->g * inv) / 255);
+    p->b = static_cast<std::uint8_t>((sb + p->b * inv) / 255);
+  }
+}
+
 void Bitmap::fill(Color c) {
   if (empty()) return;
   std::fill(data_, data_ + pixelCount(), c);
@@ -103,7 +138,8 @@ void Bitmap::fill(Color c) {
 void Bitmap::fillRect(const Rect& r, Color c) {
   const Rect clipped = r.intersect(bounds());
   for (int y = clipped.top(); y < clipped.bottom(); ++y) {
-    for (int x = clipped.left(); x < clipped.right(); ++x) set(x, y, c);
+    Color* const row = data_ + static_cast<std::size_t>(y) * width_;
+    std::fill(row + clipped.left(), row + clipped.right(), c);
   }
 }
 

@@ -111,6 +111,13 @@ class Bitmap {
   /// Alpha-blends `c` onto the pixel if in bounds, else no-op.
   void blendPixel(int x, int y, Color c);
 
+  /// Alpha-blends `c` onto pixels [x0, x1) of row y — the one primitive
+  /// every Canvas filler paints through. Same pixels as blendPixel over the
+  /// range: an opaque `c` overwrites the span, alpha 0 leaves it alone.
+  /// Caller guarantees 0 <= y < height and 0 <= x0 <= x1 <= width; debug
+  /// and sanitizer builds assert it once per span (DARPA_BOUNDS_CHECKS).
+  void blendSpan(int y, int x0, int x1, Color c);
+
   void fill(Color c);
   void fillRect(const Rect& r, Color c);
 
@@ -156,6 +163,12 @@ class Bitmap {
     }
   }
   [[noreturn]] void boundsFailure(int x, int y) const;
+  void checkSpan(int y, int x0, int x1) const {
+    if (y < 0 || y >= height_ || x0 < 0 || x0 > x1 || x1 > width_) {
+      spanFailure(y, x0, x1);
+    }
+  }
+  [[noreturn]] void spanFailure(int y, int x0, int x1) const;
 #endif
 
   int width_ = 0;

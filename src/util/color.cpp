@@ -15,6 +15,15 @@ Color blend(Color dst, Color src) {
   if (src.a == 0) return dst;
   const int sa = src.a;
   const int da = dst.a;
+  if (da == 255) {
+    // Opaque destination: outA is 255, and the general quotient
+    // (255·X) / 65025 below equals X / 255 exactly, so one constant divide
+    // per channel gives the identical result.
+    const int inv = 255 - sa;
+    return {static_cast<std::uint8_t>((src.r * sa + dst.r * inv) / 255),
+            static_cast<std::uint8_t>((src.g * sa + dst.g * inv) / 255),
+            static_cast<std::uint8_t>((src.b * sa + dst.b * inv) / 255), 255};
+  }
   const int outA = sa + da * (255 - sa) / 255;
   if (outA == 0) return colors::kTransparent;
   auto channel = [&](int s, int d) {

@@ -61,7 +61,8 @@ inline constexpr Color kLightGray = Color::rgb(200, 200, 200);
 inline constexpr Color kTransparent = Color::rgba(0, 0, 0, 0);
 }  // namespace colors
 
-/// Source-over alpha blend of `src` onto opaque-ish `dst`.
+/// Source-over alpha blend of `src` onto opaque-ish `dst`. An opaque `dst`
+/// (the screenshot case) takes an exact shortcut with the same result.
 [[nodiscard]] Color blend(Color dst, Color src);
 
 /// Relative luminance per WCAG (sRGB linearization), in [0, 1].

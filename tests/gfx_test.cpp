@@ -69,6 +69,15 @@ TEST(BitmapDeathTest, SetOutOfBoundsAborts) {
   EXPECT_DEATH(bmp.set(-1, 0, colors::kRed), "bounds");
   EXPECT_DEATH(bmp.set(0, 2, colors::kRed), "bounds");
 }
+
+TEST(BitmapDeathTest, SpanOutOfBoundsAborts) {
+  Bitmap bmp(4, 2, colors::kWhite);
+  EXPECT_DEATH(bmp.blendSpan(0, 0, 5, colors::kRed), "bounds");   // past right
+  EXPECT_DEATH(bmp.blendSpan(0, -1, 2, colors::kRed), "bounds");  // before left
+  EXPECT_DEATH(bmp.blendSpan(2, 0, 1, colors::kRed), "bounds");   // row below
+  EXPECT_DEATH(bmp.blendSpan(-1, 0, 1, colors::kRed), "bounds");  // row above
+  EXPECT_DEATH(bmp.blendSpan(0, 3, 2, colors::kRed), "bounds");   // reversed
+}
 #endif  // DARPA_BOUNDS_CHECKS
 
 TEST(BitmapTest, AtClampedOutOfBounds) {
