@@ -423,15 +423,17 @@ int main(int argc, char** argv) {
     }
     std::fprintf(
         f,
-        "  \"feature_fused_ms\": %.3f,\n"
-        "  \"feature_per_channel_ms\": %.3f,\n"
+        "  \"feature_fused_ms_total\": %.3f,\n"
+        "  \"feature_build_ms_per_build\": %.3f,\n"
+        "  \"feature_per_channel_ms_total\": %.3f,\n"
         "  \"detect_scalar_ms_per_image\": %.3f,\n"
         "  \"detect_batched_ms_per_image\": %.3f,\n"
         "  \"detect_speedup\": %.3f,\n"
         "  \"steady_state_allocs_per_frame\": %.4f,\n"
         "  \"steady_state_scratch_growths\": %lld\n"
         "}\n",
-        fusedFeatureMs, naiveFeatureMs, scalarDetectMs / detectImages,
+        fusedFeatureMs, fusedFeatureMs / featureReps, naiveFeatureMs,
+        scalarDetectMs / detectImages,
         batchedDetectMs / detectImages, detectSpeedup, allocsPerFrame,
         static_cast<long long>(steadyGrowths));
     std::fclose(f);

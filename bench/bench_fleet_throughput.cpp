@@ -1,22 +1,19 @@
 // Fleet throughput scaling: screens analyzed per wall-clock second for
-// 1 -> 256 simulated device sessions across the three detection backends
-// (inline-serial, thread-pool, batching), plus the modeled detect CPU that
-// the batch amortization saves — and the work-stealing scheduler's scale
-// story: thousand-session fleets (4096 -> 16384 in full mode) with
+// 1 -> 256 simulated device sessions at W = 1 ... N session workers, every
+// session detecting inline on the worker advancing it (the one serving
+// path), plus the modeled detect CPU — and the work-stealing scheduler's
+// scale story: thousand-session fleets (4096 -> 16384 in full mode) with
 // sessions/sec and the p99 straggler tail from the per-session retirement
 // wall times.
 //
 // Contracts (exit nonzero on failure):
-//  1. At 64 sessions the BatchingExecutor must beat the inline-serial
-//     fleet by >= 2x in wall-clock OR modeled detect cost.
-//  2. At 256 sessions on the batching backend, the work-stealing driver's
-//     sessions/sec must be >= 0.95x the lockstep driver's (the 5% grace
-//     absorbs run-to-run wall-clock noise; the point of the gate is that
-//     removing the barriers never makes the fleet SLOWER).
-//  3. Shared-verdict-tier sweep over a shared app population (serving-style
+//  1. Shared-verdict-tier sweep over a shared app population (serving-style
 //     SLOs): the L2 hit rate at 256 sessions must reach >= 50% — below
 //     that the fleet-wide tier is not actually sharing and every session
 //     is paying for its own perception again.
+//  2. Hybrid-population sweep: a fully WebView population must shift load
+//     from lint short-circuits onto the CV detector (modeled-axis
+//     counters, deterministic).
 // Emits the whole scaling curve to BENCH_fleet.json (next to the binary).
 #include <algorithm>
 #include <chrono>
@@ -32,9 +29,9 @@
 #include "analysis/lint.h"
 #include "apps/app_model.h"
 #include "bench_common.h"
+#include "core/detection_executor.h"
 #include "core/verdict_tier.h"
 #include "core/work_ledger.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 #include "util/rng.h"
 
@@ -43,35 +40,36 @@ namespace {
 
 struct Sample {
   int sessions = 0;
-  std::string backend;
-  std::string driver;
   int workers = 0;
   double wallMs = 0.0;
   double screensPerSec = 0.0;
   double sessionsPerSec = 0.0;
   std::int64_t analyses = 0;
   double detectCpuMs = 0.0;  ///< Modeled, fleet-wide.
-  double meanBatch = 0.0;
-  double stragglerP50Ms = 0.0;  ///< Median session finish (WS driver only).
-  double stragglerP99Ms = 0.0;  ///< Tail session finish (WS driver only).
+  double stragglerP50Ms = 0.0;  ///< Median session finish.
+  double stragglerP99Ms = 0.0;  ///< Tail session finish.
   // Shared-verdict-tier sweep only (zeros elsewhere):
   bool tiered = false;
   double l2HitRate = 0.0;            ///< hits / (hits + misses).
   std::int64_t l2Hits = 0;
   std::int64_t l2Misses = 0;
-  std::int64_t suppressedDetects = 0;  ///< Single-flight followers.
   std::int64_t publishes = 0;
-  double detectP50Us = 0.0;  ///< Submit -> completion wall latency, median.
-  double detectP99Us = 0.0;  ///< Submit -> completion wall latency, tail.
+  double detectP50Us = 0.0;  ///< Detect wall latency, median.
+  double detectP99Us = 0.0;  ///< Detect wall latency, tail.
 };
 
+/// N: the session-worker count of the widest point of the curve.
 int fleetWorkers() {
-  // Floor at 1, not 2: on a single-core host an extra session worker only
-  // fights the executor's own inference threads for the one core, and the
-  // driver duel below would measure context-switch churn instead of
-  // scheduler overhead.
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp(static_cast<int>(hw), 1, 8);
+}
+
+/// W = 1, 2, 4, ... up to N, and N itself.
+std::vector<int> workerSweep() {
+  std::vector<int> out;
+  for (int w = 1; w < fleetWorkers(); w *= 2) out.push_back(w);
+  out.push_back(fleetWorkers());
+  return out;
 }
 
 /// Nearest-rank percentile over an unsorted copy; q in (0, 1].
@@ -83,16 +81,10 @@ double percentile(std::vector<double> values, double q) {
   return values[std::min(rank, values.size() - 1)];
 }
 
-Sample runFleet(const cv::Detector& detector, core::DetectionExecutor& executor,
-                const char* backend, int sessions, int workers,
-                fleet::FleetDriver driver, Millis epoch, Millis duration) {
-  fleet::FleetConfig config;
-  config.sessions = sessions;
-  config.workers = workers;
-  config.epoch = epoch;
-  config.duration = duration;
-  config.driver = driver;
-
+/// Runs `config` and fills the wall-clock, modeled and straggler columns.
+Sample runFleet(const cv::Detector& detector,
+                core::DetectionExecutor& executor,
+                const fleet::FleetConfig& config) {
   fleet::Fleet fleet(detector, executor, config);
   const auto t0 = std::chrono::steady_clock::now();
   fleet.run();
@@ -100,95 +92,63 @@ Sample runFleet(const cv::Detector& detector, core::DetectionExecutor& executor,
   const fleet::FleetSnapshot snap = fleet.snapshot();
 
   Sample sample;
-  sample.sessions = sessions;
-  sample.backend = backend;
-  sample.driver =
-      driver == fleet::FleetDriver::kWorkStealing ? "ws" : "lockstep";
-  sample.workers = workers;
+  sample.sessions = config.sessions;
+  sample.workers = config.workers;
   sample.wallMs =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   sample.analyses = snap.ledger.analyses();
   sample.screensPerSec =
       sample.wallMs <= 0.0 ? 0.0 : sample.analyses / (sample.wallMs / 1000.0);
   sample.sessionsPerSec =
-      sample.wallMs <= 0.0 ? 0.0 : sessions / (sample.wallMs / 1000.0);
+      sample.wallMs <= 0.0 ? 0.0
+                           : config.sessions / (sample.wallMs / 1000.0);
   sample.detectCpuMs = snap.ledger.tally(core::Stage::kDetect).cpuMs;
-  if (const fleet::SchedulerMetrics* metrics = fleet.schedulerMetrics()) {
-    sample.stragglerP50Ms = percentile(metrics->finishWallMs, 0.50);
-    sample.stragglerP99Ms = percentile(metrics->finishWallMs, 0.99);
-  }
+  const fleet::SchedulerMetrics& metrics = *fleet.schedulerMetrics();
+  sample.stragglerP50Ms = percentile(metrics.finishWallMs, 0.50);
+  sample.stragglerP99Ms = percentile(metrics.finishWallMs, 0.99);
+  sample.tiered = config.sharedVerdictTier;
+  sample.l2Hits = snap.verdictTier.hits;
+  sample.l2Misses = snap.verdictTier.misses;
+  const std::int64_t probes = sample.l2Hits + sample.l2Misses;
+  sample.l2HitRate = probes == 0 ? 0.0
+                                 : static_cast<double>(sample.l2Hits) /
+                                       static_cast<double>(probes);
+  sample.publishes = snap.verdictTier.publishes;
   return sample;
 }
 
-Sample runBackend(const cv::Detector& detector, const std::string& backend,
-                  int sessions) {
-  const Millis epoch = ms(1000);
-  const Millis duration = ms(scaled(10'000, 3'000));
-  const fleet::FleetDriver driver = fleet::FleetDriver::kWorkStealing;
-  if (backend == "inline") {
-    core::InlineExecutor executor;
-    return runFleet(detector, executor, "inline", sessions, /*workers=*/1,
-                    driver, epoch, duration);
-  }
-  if (backend == "threadpool") {
-    fleet::ThreadPoolExecutor executor(fleetWorkers());
-    return runFleet(detector, executor, "threadpool", sessions, fleetWorkers(),
-                    driver, epoch, duration);
-  }
-  fleet::BatchingExecutor executor(
-      {.maxBatchSize = 64, .threads = fleetWorkers()});
-  Sample sample = runFleet(detector, executor, "batching", sessions,
-                           fleetWorkers(), driver, epoch, duration);
-  sample.meanBatch = executor.meanBatchSize();
-  return sample;
+fleet::FleetConfig scalingConfig(int sessions, int workers, Millis epoch,
+                                 Millis duration) {
+  fleet::FleetConfig config;
+  config.sessions = sessions;
+  config.workers = workers;
+  config.epoch = epoch;
+  config.duration = duration;
+  return config;
 }
 
 // ----------------------------- shared-verdict-tier offered-load sweep
 
-/// Transparent backend wrapper that timestamps every submit and records
-/// the wall-clock latency to its completion callback — the serving
-/// latency of the detection tier as one session experiences it (queue
-/// wait inside the flush epoch + batch run + delivery drain). Latency
-/// recording is the only added behavior; everything else forwards.
+/// Transparent executor wrapper that records the wall-clock latency of
+/// every detect — the serving latency of the detection tier as one session
+/// experiences it. With inline detection that is the model's own run time
+/// on the session worker. Latency recording is the only added behavior.
 class LatencyProbeExecutor final : public core::DetectionExecutor {
  public:
-  explicit LatencyProbeExecutor(core::DetectionExecutor& inner)
-      : inner_(&inner) {}
-
-  void submit(core::DetectionRequest request) override {
+  std::vector<cv::Detection> detect(const cv::Detector& detector,
+                                    core::FramePtr frame) override {
     const auto t0 = std::chrono::steady_clock::now();
-    auto cb = std::move(request.onComplete);
-    request.onComplete = [this, t0, cb = std::move(cb)](
-                             std::vector<cv::Detection> detections,
-                             int batchSize,
-                             const core::DetectionTiming& timing) mutable {
-      const double us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      {
-        // Completions run on session worker threads with no ranked lock
-        // held; this mutex is a leaf and never nests.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        latenciesUs_.push_back(us);
-      }
-      cb(std::move(detections), batchSize, timing);
-    };
-    inner_->submit(std::move(request));
+    std::vector<cv::Detection> detections =
+        inner_.detect(detector, std::move(frame));
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    // Called from session workers with no ranked lock held; this mutex is
+    // a leaf and never nests.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    latenciesUs_.push_back(us);
+    return detections;
   }
-  void flush() override { inner_->flush(); }
-  [[nodiscard]] std::size_t pendingCount() const override {
-    return inner_->pendingCount();
-  }
-  [[nodiscard]] bool synchronous() const override {
-    return inner_->synchronous();
-  }
-  // Forwarding this is load-bearing: the scheduler keys its flush strategy
-  // (cross-session batch groups + single-flight) off the backend's
-  // coalescing bit, and the base class defaults to false.
-  [[nodiscard]] bool coalescing() const override {
-    return inner_->coalescing();
-  }
-  [[nodiscard]] const char* name() const override { return "latency-probe"; }
 
   [[nodiscard]] std::vector<double> takeLatenciesUs() {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -196,7 +156,7 @@ class LatencyProbeExecutor final : public core::DetectionExecutor {
   }
 
  private:
-  core::DetectionExecutor* inner_;
+  core::InlineExecutor inner_;
   std::mutex mutex_;
   std::vector<double> latenciesUs_;
 };
@@ -205,9 +165,9 @@ class LatencyProbeExecutor final : public core::DetectionExecutor {
 /// i % apps with the same profile and app seed) with two twists that give
 /// a fleet-wide tier real work: AUI churn on a stable base screen (the
 /// recurring-fingerprint pattern an L2 serves) and a staggered per-session
-/// analysis debounce, so sessions of one app reach each screen in
-/// DIFFERENT flush epochs — the late cohorts are served from the tier
-/// instead of coalescing with the leader's in-flight detect.
+/// analysis debounce, so sessions of one app reach each screen at
+/// DIFFERENT times — the late cohorts are served from the tier instead of
+/// paying for their own detect.
 std::function<void(int, fleet::DeviceSession::Config&)> sharedPopulation(
     int apps) {
   struct App {
@@ -237,23 +197,18 @@ std::function<void(int, fleet::DeviceSession::Config&)> sharedPopulation(
   };
 }
 
-/// One shared-population run on the batching backend under the WS driver,
-/// with the tier on or off (off = the who-pays baseline for the same
-/// offered load).
+/// One shared-population run with the tier on or off (off = the who-pays
+/// baseline for the same offered load).
 Sample runTierFleet(const cv::Detector& detector, int sessions,
                     bool tierEnabled) {
-  fleet::BatchingExecutor backend(
-      {.maxBatchSize = 64, .threads = fleetWorkers()});
-  LatencyProbeExecutor probe(backend);
-
+  LatencyProbeExecutor probe;
   fleet::FleetConfig config;
   config.sessions = sessions;
   config.workers = fleetWorkers();
   config.epoch = ms(500);
-  // Fixed horizon even under --quick: contract 3's hit-rate gate needs the
+  // Fixed horizon even under --quick: contract 1's hit-rate gate needs the
   // recurrence traffic a too-short run would not accumulate.
   config.duration = ms(4000);
-  config.driver = fleet::FleetDriver::kWorkStealing;
   config.sessionTweak = sharedPopulation(/*apps=*/8);
   config.sharedVerdictTier = tierEnabled;
   // A deliberately small L1 keeps re-encounters flowing to the shared
@@ -261,34 +216,7 @@ Sample runTierFleet(const cv::Detector& detector, int sessions,
   // per-session and measure nothing fleet-wide.
   config.darpa.verdictCacheCapacity = 1;
 
-  fleet::Fleet fleet(detector, probe, config);
-  const auto t0 = std::chrono::steady_clock::now();
-  fleet.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  const fleet::FleetSnapshot snap = fleet.snapshot();
-
-  Sample sample;
-  sample.sessions = sessions;
-  sample.backend = "batching";
-  sample.driver = "ws";
-  sample.workers = config.workers;
-  sample.tiered = tierEnabled;
-  sample.wallMs = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  sample.analyses = snap.ledger.analyses();
-  sample.screensPerSec =
-      sample.wallMs <= 0.0 ? 0.0 : sample.analyses / (sample.wallMs / 1000.0);
-  sample.sessionsPerSec =
-      sample.wallMs <= 0.0 ? 0.0 : sessions / (sample.wallMs / 1000.0);
-  sample.detectCpuMs = snap.ledger.tally(core::Stage::kDetect).cpuMs;
-  sample.l2Hits = snap.verdictTier.hits;
-  sample.l2Misses = snap.verdictTier.misses;
-  const std::int64_t probes = snap.verdictTier.hits + snap.verdictTier.misses;
-  sample.l2HitRate =
-      probes == 0 ? 0.0
-                  : static_cast<double>(snap.verdictTier.hits) /
-                        static_cast<double>(probes);
-  sample.suppressedDetects = snap.verdictTier.suppressedDetects;
-  sample.publishes = snap.verdictTier.publishes;
+  Sample sample = runFleet(detector, probe, config);
   const std::vector<double> latencies = probe.takeLatenciesUs();
   sample.detectP50Us = percentile(latencies, 0.50);
   sample.detectP99Us = percentile(latencies, 0.99);
@@ -319,22 +247,19 @@ struct HybridSample {
   }
 };
 
-/// Shared-population WS fleet with a lint prefilter wired into every
+/// Shared-population fleet with a lint prefilter wired into every
 /// session and `webProb` of third-party AUIs WebView-hosted. The shared
 /// tier stays OFF: its hit counts are cross-session-timing dependent,
 /// and this sweep's whole point is a deterministic stage-mix story.
 HybridSample runHybridFleet(const cv::Detector& detector,
                             const analysis::LintEngine& lint,
                             double webProb) {
-  fleet::BatchingExecutor backend(
-      {.maxBatchSize = 64, .threads = fleetWorkers()});
-
+  core::InlineExecutor executor;
   fleet::FleetConfig config;
   config.sessions = 64;
   config.workers = fleetWorkers();
   config.epoch = ms(500);
   config.duration = ms(4000);
-  config.driver = fleet::FleetDriver::kWorkStealing;
   auto base = sharedPopulation(/*apps=*/8);
   config.sessionTweak = [base, webProb,
                          &lint](int i, fleet::DeviceSession::Config& c) {
@@ -343,7 +268,7 @@ HybridSample runHybridFleet(const cv::Detector& detector,
     c.darpa.lintPrefilter = &lint;
   };
 
-  fleet::Fleet fleet(detector, backend, config);
+  fleet::Fleet fleet(detector, executor, config);
   fleet.run();
   const fleet::FleetSnapshot snap = fleet.snapshot();
 
@@ -359,9 +284,9 @@ HybridSample runHybridFleet(const cv::Detector& detector,
 }
 
 void printSample(const Sample& s) {
-  std::printf("  %-8d %-11s %-9s %7d %10.1f %12.1f %14.1f %10.2f\n",
-              s.sessions, s.backend.c_str(), s.driver.c_str(), s.workers,
-              s.wallMs, s.screensPerSec, s.detectCpuMs, s.meanBatch);
+  std::printf("  %-8d %7d %10.1f %12.1f %12.1f %14.1f %12.2f\n", s.sessions,
+              s.workers, s.wallMs, s.screensPerSec, s.sessionsPerSec,
+              s.detectCpuMs, s.stragglerP99Ms);
   std::fflush(stdout);
 }
 
@@ -372,25 +297,21 @@ void writeJson(const std::vector<Sample>& samples, const char* path) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(f,
-                 "    {\"sessions\": %d, \"backend\": \"%s\", "
-                 "\"driver\": \"%s\", \"workers\": %d, "
+                 "    {\"sessions\": %d, \"workers\": %d, "
                  "\"wall_ms\": %.3f, \"screens_per_sec\": %.3f, "
                  "\"sessions_per_sec\": %.3f, "
                  "\"analyses\": %lld, \"detect_cpu_ms\": %.3f, "
-                 "\"mean_batch\": %.3f, "
                  "\"straggler_p50_ms\": %.3f, \"straggler_p99_ms\": %.3f, "
                  "\"tiered\": %s, \"l2_hit_rate\": %.4f, "
                  "\"l2_hits\": %lld, \"l2_misses\": %lld, "
-                 "\"suppressed_detects\": %lld, \"publishes\": %lld, "
+                 "\"publishes\": %lld, "
                  "\"detect_p50_us\": %.1f, \"detect_p99_us\": %.1f}%s\n",
-                 s.sessions, s.backend.c_str(), s.driver.c_str(), s.workers,
-                 s.wallMs, s.screensPerSec, s.sessionsPerSec,
-                 static_cast<long long>(s.analyses), s.detectCpuMs, s.meanBatch,
-                 s.stragglerP50Ms, s.stragglerP99Ms,
+                 s.sessions, s.workers, s.wallMs, s.screensPerSec,
+                 s.sessionsPerSec, static_cast<long long>(s.analyses),
+                 s.detectCpuMs, s.stragglerP50Ms, s.stragglerP99Ms,
                  s.tiered ? "true" : "false", s.l2HitRate,
                  static_cast<long long>(s.l2Hits),
                  static_cast<long long>(s.l2Misses),
-                 static_cast<long long>(s.suppressedDetects),
                  static_cast<long long>(s.publishes), s.detectP50Us,
                  s.detectP99Us, i + 1 < samples.size() ? "," : "");
   }
@@ -407,50 +328,29 @@ int main(int argc, char** argv) {
   using namespace darpa::bench;
   initFromArgs(argc, argv);
 
-  printHeader("Fleet throughput: sessions x detection backend");
+  printHeader("Fleet throughput: sessions x session workers, inline detect");
   const dataset::AuiDataset data = paperDataset();
   const cv::OneStageDetector detector = trainOrLoadOneStage(data, "default");
+  core::InlineExecutor executor;
 
   const std::vector<int> sweep =
       quick() ? std::vector<int>{1, 8, 64} : std::vector<int>{1, 4, 16, 64, 256};
-  const std::vector<std::string> backends = {"inline", "threadpool",
-                                             "batching"};
+  const Millis epoch = ms(1000);
+  const Millis duration = ms(scaled(10'000, 3'000));
 
-  std::printf("  %-8s %-11s %-9s %7s %10s %12s %14s %10s\n", "sessions",
-              "backend", "driver", "workers", "wall ms", "screens/s",
-              "detect cpu ms", "meanBatch");
+  std::printf("  %-8s %7s %10s %12s %12s %14s %12s\n", "sessions", "workers",
+              "wall ms", "screens/s", "sessions/s", "detect cpu ms",
+              "p99 finish");
   std::vector<Sample> samples;
   for (const int sessions : sweep) {
-    for (const std::string& backend : backends) {
-      const Sample s = runBackend(detector, backend, sessions);
+    for (const int workers : workerSweep()) {
+      const Sample s = runFleet(
+          detector, executor,
+          scalingConfig(sessions, workers, epoch, duration));
       printSample(s);
       samples.push_back(s);
     }
   }
-
-  // Driver duel at 256 sessions (the perf-smoke gate): same backend, same
-  // worker count, barriers vs none. Best-of-3 per driver — single-shot
-  // wall clocks on a shared CI host swing +/-15%, and the minimum is the
-  // stable estimator of what the code actually costs.
-  std::printf("\n  driver duel, 256 sessions, batching backend, best of 3:\n");
-  const Millis duelEpoch = ms(1000);
-  const Millis duelDuration = ms(scaled(10'000, 3'000));
-  const auto duelBest = [&](fleet::FleetDriver driver) {
-    Sample best;
-    for (int rep = 0; rep < 3; ++rep) {
-      fleet::BatchingExecutor executor(
-          {.maxBatchSize = 64, .threads = fleetWorkers()});
-      Sample s = runFleet(detector, executor, "batching", 256, fleetWorkers(),
-                          driver, duelEpoch, duelDuration);
-      s.meanBatch = executor.meanBatchSize();
-      if (rep == 0 || s.wallMs < best.wallMs) best = s;
-    }
-    printSample(best);
-    samples.push_back(best);
-    return best;
-  };
-  const Sample duelWs = duelBest(fleet::FleetDriver::kWorkStealing);
-  const Sample duelLockstep = duelBest(fleet::FleetDriver::kLockstep);
 
   // Work-stealing at scale: thousand-session fleets over a short horizon.
   // The interesting outputs are sessions/sec (scheduler overhead per
@@ -458,15 +358,14 @@ int main(int argc, char** argv) {
   // paced with no barrier to hide behind).
   const std::vector<int> bigSweep =
       quick() ? std::vector<int>{1024} : std::vector<int>{4096, 16384};
-  std::printf("\n  big fleets, work-stealing, batching backend:\n");
+  std::printf("\n  big fleets, W=%d:\n", fleetWorkers());
   std::printf("  %-8s %10s %14s %14s %14s\n", "sessions", "wall ms",
               "sessions/s", "p50 finish ms", "p99 finish ms");
   for (const int sessions : bigSweep) {
-    fleet::BatchingExecutor executor(
-        {.maxBatchSize = 64, .threads = fleetWorkers()});
-    const Sample s = runFleet(detector, executor, "batching", sessions,
-                              fleetWorkers(), fleet::FleetDriver::kWorkStealing,
-                              ms(100), ms(scaled(500, 300)));
+    const Sample s =
+        runFleet(detector, executor,
+                 scalingConfig(sessions, fleetWorkers(), ms(100),
+                               ms(scaled(500, 300))));
     std::printf("  %-8d %10.1f %14.1f %14.2f %14.2f\n", s.sessions, s.wallMs,
                 s.sessionsPerSec, s.stragglerP50Ms, s.stragglerP99Ms);
     std::fflush(stdout);
@@ -475,23 +374,20 @@ int main(int argc, char** argv) {
 
   // Shared-verdict-tier offered-load sweep: a shared app population where
   // 8 apps serve the whole fleet, tier off vs on at each size. The tier-on
-  // rows report the serving-style SLOs: submit->completion latency
-  // percentiles, L2 hit rate, and how many model detects the cross-session
-  // single-flight suppressed outright.
+  // rows report the serving-style SLOs: detect latency percentiles and the
+  // L2 hit rate.
   printHeader("Shared verdict tier: offered load vs serving SLOs");
-  std::printf("  %-8s %-5s %10s %9s %8s %8s %10s %12s %12s\n", "sessions",
-              "tier", "wall ms", "hit rate", "l2 hits", "suppr",
-              "detect cpu", "p50 us", "p99 us");
+  std::printf("  %-8s %-5s %10s %9s %8s %10s %12s %12s\n", "sessions",
+              "tier", "wall ms", "hit rate", "l2 hits", "detect cpu",
+              "p50 us", "p99 us");
   Sample tierGateSample;
   for (const int sessions : {16, 64, 256}) {
     for (const bool tierEnabled : {false, true}) {
       const Sample s = runTierFleet(detector, sessions, tierEnabled);
-      std::printf("  %-8d %-5s %10.1f %8.1f%% %8lld %8lld %10.1f %12.1f "
-                  "%12.1f\n",
+      std::printf("  %-8d %-5s %10.1f %8.1f%% %8lld %10.1f %12.1f %12.1f\n",
                   s.sessions, s.tiered ? "on" : "off", s.wallMs,
                   100.0 * s.l2HitRate, static_cast<long long>(s.l2Hits),
-                  static_cast<long long>(s.suppressedDetects), s.detectCpuMs,
-                  s.detectP50Us, s.detectP99Us);
+                  s.detectCpuMs, s.detectP50Us, s.detectP99Us);
       std::fflush(stdout);
       samples.push_back(s);
       if (tierEnabled && sessions == 256) tierGateSample = s;
@@ -525,63 +421,18 @@ int main(int argc, char** argv) {
 
   writeJson(samples, artifactPath("BENCH_fleet.json").c_str());
 
-  // Contract 1: at 64 sessions, batching must win >= 2x over inline-serial
-  // in wall-clock OR modeled detect cost.
-  const auto find = [&](const char* backend, int sessions) -> const Sample* {
-    for (const Sample& s : samples) {
-      if (s.backend == backend && s.sessions == sessions) return &s;
-    }
-    return nullptr;
-  };
-  const Sample* inlineAt64 = find("inline", 64);
-  const Sample* batchedAt64 = find("batching", 64);
-  if (inlineAt64 == nullptr || batchedAt64 == nullptr) {
-    std::printf("FAIL: 64-session samples missing from sweep\n");
-    return 1;
-  }
-  const double wallSpeedup = batchedAt64->wallMs <= 0.0
-                                 ? 0.0
-                                 : inlineAt64->wallMs / batchedAt64->wallMs;
-  const double modelSpeedup =
-      batchedAt64->detectCpuMs <= 0.0
-          ? 0.0
-          : inlineAt64->detectCpuMs / batchedAt64->detectCpuMs;
-  std::printf("\n  batching@64 vs inline-serial@64: wall %.2fx, modeled "
-              "detect %.2fx (contract: either >= 2x)\n",
-              wallSpeedup, modelSpeedup);
-  if (wallSpeedup < 2.0 && modelSpeedup < 2.0) {
-    std::printf("FAIL: batching did not reach 2x on either metric\n");
-    return 1;
-  }
-
-  // Contract 2: removing the barriers must not cost throughput — WS
-  // sessions/sec >= 0.95x lockstep at 256 sessions (5% wall-clock noise
-  // grace).
-  const double duelRatio = duelLockstep.sessionsPerSec <= 0.0
-                               ? 0.0
-                               : duelWs.sessionsPerSec /
-                                     duelLockstep.sessionsPerSec;
-  std::printf("  work-stealing@256 vs lockstep@256: %.2fx sessions/sec "
-              "(contract: >= 0.95x)\n",
-              duelRatio);
-  if (duelRatio < 0.95) {
-    std::printf("FAIL: work-stealing fell below the lockstep baseline\n");
-    return 1;
-  }
-
-  // Contract 3: over the shared app population at 256 sessions, the tier
+  // Contract 1: over the shared app population at 256 sessions, the tier
   // must serve at least half of all L2 probes — the sharing the whole
   // fleet-wide promotion exists for.
-  std::printf("  shared tier@256: L2 hit rate %.1f%%, %lld suppressed "
-              "detects (contract: hit rate >= 50%%)\n",
-              100.0 * tierGateSample.l2HitRate,
-              static_cast<long long>(tierGateSample.suppressedDetects));
+  std::printf("\n  shared tier@256: L2 hit rate %.1f%% (contract: hit rate "
+              ">= 50%%)\n",
+              100.0 * tierGateSample.l2HitRate);
   if (tierGateSample.l2HitRate < 0.50) {
     std::printf("FAIL: shared verdict tier is not sharing at 256 sessions\n");
     return 1;
   }
 
-  // Contract 4: the stage mix must actually shift. At a fully WebView
+  // Contract 2: the stage mix must actually shift. At a fully WebView
   // population the lint short-circuit rate has to fall below the all-native
   // rate (web dim overlays are invisible to the native scrim heuristics, so
   // lint verdicts lose confidence and CV carries the load), and the CV

@@ -1,5 +1,5 @@
 // Zero-copy perception data plane: the FramePool's two contracts, enforced
-// over a 64-session batched fleet (exit nonzero on failure):
+// over a 64-session fleet detecting inline (exit nonzero on failure):
 //
 //  1. Determinism — pooling is invisible to every paper-facing output. The
 //     fig-8 coverage numbers, the Table III-analog runtime stats, and the
@@ -15,7 +15,7 @@
 
 #include "bench_common.h"
 #include "core/work_ledger.h"
-#include "fleet/executors.h"
+#include "core/detection_executor.h"
 #include "fleet/fleet.h"
 #include "perf/device_model.h"
 
@@ -31,7 +31,7 @@ struct RunResult {
 };
 
 RunResult runFleet(const cv::Detector& detector, bool pooled, int workers) {
-  fleet::BatchingExecutor executor({.maxBatchSize = 64, .threads = 4});
+  core::InlineExecutor executor;
   fleet::FleetConfig config;
   config.sessions = 64;
   config.workers = workers;
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   for (const int workers : {1, 4}) {
-    std::printf("\n  64 sessions, batching executor, W=%d:\n", workers);
+    std::printf("\n  64 sessions, inline detection, W=%d:\n", workers);
     const RunResult heap = runFleet(detector, /*pooled=*/false, workers);
     const RunResult pooled = runFleet(detector, /*pooled=*/true, workers);
     printRun("pooling off", heap);

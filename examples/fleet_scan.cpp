@@ -1,17 +1,17 @@
-// Example: fleet-scale scanning with the batched detection executor.
+// Example: fleet-scale scanning.
 //
 // One DARPA deployment rarely watches one phone: a market operator or a
 // research fleet runs many simulated device sessions against one shared
-// detector backend. This example spins up a small fleet, advances every
-// session in lockstep epochs, coalesces the sessions' screenshots into
-// batched detectBatch() calls at each epoch barrier, and prints the merged
-// fleet snapshot — same verdicts as running each device alone, at an
-// amortized per-screen detection cost.
+// detector. This example spins up a small fleet, advances the sessions on
+// four work-stealing workers — each session detecting inline on the worker
+// advancing it, exactly like one phone's accessibility service — and
+// prints the merged fleet snapshot: the same verdicts as running each
+// device alone.
 #include <cstdio>
 
+#include "core/detection_executor.h"
 #include "cv/one_stage.h"
 #include "dataset/dataset.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 
 using namespace darpa;
@@ -28,14 +28,13 @@ int main() {
   const cv::OneStageDetector detector =
       cv::OneStageDetector::train(data, cv::OneStageConfig{}, trainConfig);
 
-  // One shared batching backend: every session's stable screens park here
-  // and are resolved together at each epoch barrier.
-  fleet::BatchingExecutor executor({.maxBatchSize = 32, .threads = 4});
+  // Stateless: every session calls it from the worker advancing it.
+  core::InlineExecutor executor;
 
   fleet::FleetConfig config;
   config.sessions = 8;
   config.workers = 4;          // sessions advance on 4 threads
-  config.epoch = ms(1000);     // flush the executor every simulated second
+  config.epoch = ms(1000);     // scheduling slice: one simulated second
   config.duration = ms(30'000);
   std::printf("running %d sessions x %lld simulated ms (epoch %lld ms)...\n",
               config.sessions, static_cast<long long>(config.duration.count),
@@ -62,13 +61,11 @@ int main() {
   std::printf("  modeled CPU         %.1f ms total, detect %.1f ms\n",
               snap.ledger.totalCpuMs(),
               snap.ledger.tally(core::Stage::kDetect).cpuMs);
-  std::printf("\nbatching: %lld detectBatch calls over %lld screenshots "
-              "(mean batch %.1f, largest %d)\n",
-              static_cast<long long>(executor.batchesDispatched()),
-              static_cast<long long>(executor.imagesBatched()),
-              executor.meanBatchSize(), executor.largestBatch());
+  const fleet::SchedulerMetrics& sched = *fleet.schedulerMetrics();
+  std::printf("\nscheduler: %lld slices, %lld stolen by idle workers\n",
+              static_cast<long long>(sched.slicesRun),
+              static_cast<long long>(sched.steals));
   std::printf("per-session verdicts are identical to running each device "
-              "alone;\nthe batch amortization only changes what the fleet "
-              "pays per screen.\n");
+              "alone,\nfor any worker count.\n");
   return 0;
 }

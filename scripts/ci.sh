@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build, test (which includes the detlint
 # determinism-lint gates), the same again under ASan+UBSan, a TSan lane
-# over the threaded fleet/executor tests, forced-scalar int8 kernel-lane
+# over the threaded fleet/scheduler tests, forced-scalar int8 kernel-lane
 # parity reruns under both sanitizers (DARPA_KERNEL=scalar), a dispatch
 # probe asserting a -DDARPA_NATIVE_SIMD=OFF build still selects the avx2
 # int8 lane on AVX2 hosts, a bench smoke lane (every bench binary once
@@ -69,26 +69,28 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the
-  # work-stealing fleet scheduler (steal-heavy skewed workload at W=4), the
-  # lockstep reference driver, and the deferred detection executors.
-  # (TSan is incompatible with ASan, hence the separate build tree.)
+  # work-stealing fleet scheduler (steal-heavy skewed workload at W=4, and
+  # its byte-equality against the epoch-barrier oracle in
+  # FleetSchedulerTest/SharedVerdictTierTest), the shared verdict tier and
+  # the frame pool. (TSan is incompatible with ASan, hence the separate
+  # build tree.)
   cmake -B build-tsan -S . -DDARPA_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
 
-  echo "== ctest, TSan fleet/scheduler/executor/pool/tier/webview tests (build-tsan/) =="
+  echo "== ctest, TSan fleet/scheduler/pool/tier/webview tests (build-tsan/) =="
   # The webview suites ride along: hybrid dumps flow through the same
   # threaded fleet pipeline (fingerprint -> verdict caches -> tier), so
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'FleetTest|FleetSchedulerTest|ExecutorTest|FramePoolTest|SharedVerdictTierTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+      -R 'FleetTest|FleetSchedulerTest|FramePoolTest|SharedVerdictTierTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 
   echo "== ctest, TSan, int8 parity with DARPA_KERNEL=scalar forced (build-tsan/) =="
   # The dispatcher's std::call_once + env read is exactly the kind of
   # one-time init TSan is good at: the parity suite spawns no threads, but
-  # the fleet suites above already hammered activeInt8Kernel() through the
-  # quantized executors, so this forced-scalar rerun checks the override
-  # path under the same runtime.
+  # the fleet suites above already ran the detector on four session
+  # workers, so this forced-scalar rerun checks the override path under
+  # the same runtime.
   DARPA_KERNEL=scalar TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
@@ -121,12 +123,12 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
 
   echo "== perf smoke, Release (build-perf/) =="
   # The hot-path bench asserts real speedups (batched GEMM >= 3x, detect
-  # >= 2x) and zero steady-state allocations, and the fleet-throughput
-  # bench asserts the work-stealing driver's sessions/sec at 256 sessions
-  # stays >= 0.95x the lockstep baseline (best-of-3 per driver). Those
-  # contracts are only meaningful under optimization, so this lane builds
-  # Release (-O2) and runs both benches at --quick scale. Fatal on
-  # contract failure. The two binaries share the trained-model cache in
+  # >= 2x) and zero steady-state allocations; the fleet-throughput bench
+  # publishes the inline scaling curve (W = 1 ... N session workers) and
+  # gates the shared-tier L2 hit rate and the hybrid lint->CV stage-mix
+  # shift. The speedup contracts are only meaningful under optimization,
+  # so this lane builds Release (-O2) and runs both benches at --quick
+  # scale. Fatal on contract failure. The two binaries share the trained-model cache in
   # build-perf/bench, so the fleet bench reuses the hot-path bench's model.
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-perf -j "$JOBS" \

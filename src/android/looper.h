@@ -99,9 +99,8 @@ class Looper {
 
   // Session-confined (no lock by design): a Looper belongs to exactly one
   // DeviceSession and is only touched by the thread currently advancing
-  // that session; deferred executors reach it only via post() calls made
-  // from the single-threaded flush at the epoch barrier. The fleet's phase
-  // join is the happens-before edge (see core/work_ledger.h).
+  // that session. The scheduler's run-queue hand-offs are the
+  // happens-before edges between workers (see core/work_ledger.h).
   SimClock* clock_ CONFINED_TO("owning session");
   std::priority_queue<Task, std::vector<Task>, Later> queue_
       CONFINED_TO("owning session");

@@ -95,29 +95,25 @@ void DarpaService::analyzeNow() {
   // sees (and re-detects) DARPA's overlay.
   clearDecorations();
 
-  auto ctx = std::make_shared<AnalysisContext>();
-  ctx->service = this;
-  ctx->config = &config_;
-  ctx->detector = detector_;
-  ctx->wm = wm;
-  ctx->vault = &vault_;
-  ctx->stats = &stats_;
-  ctx->now = now;
-  ctx->sessionId = config_.sessionId;
-  // The epilogue runs when the pass fully completes: synchronously for the
-  // inline executor, or inside the deferred completion on our Looper at the
-  // executor's flush. Everything it touches is owned by the service, which
-  // outlives any in-flight pass (fleets flush before teardown).
-  pipeline_.run(ctx, ledger_, detectionExecutor(), [this](AnalysisContext& c) {
-    // A cache-served analysis counts against the tier that served it.
-    if (c.fromCache) {
-      ++(c.fromSharedTier ? stats_.verdictTierHits : stats_.verdictCacheHits);
-    }
-    lastDetections_ = c.detections;
-    lastWasAui_ = c.isAui;
-    ledger_.endAnalysis();
-    if (analysisListener_) analysisListener_(c.isAui, c.detections);
-  });
+  AnalysisContext ctx;
+  ctx.service = this;
+  ctx.config = &config_;
+  ctx.detector = detector_;
+  ctx.wm = wm;
+  ctx.vault = &vault_;
+  ctx.stats = &stats_;
+  ctx.executor = &detectionExecutor();
+  ctx.now = now;
+  pipeline_.run(ctx, ledger_);
+
+  // A cache-served analysis counts against the tier that served it.
+  if (ctx.fromCache) {
+    ++(ctx.fromSharedTier ? stats_.verdictTierHits : stats_.verdictCacheHits);
+  }
+  lastDetections_ = ctx.detections;
+  lastWasAui_ = ctx.isAui;
+  ledger_.endAnalysis();
+  if (analysisListener_) analysisListener_(ctx.isAui, ctx.detections);
 }
 
 void DarpaService::decorate(const std::vector<cv::Detection>& detections) {

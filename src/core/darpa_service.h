@@ -88,26 +88,20 @@ struct DarpaConfig {
   std::size_t verdictCacheCapacity = 32;
   /// Optional fleet-wide shared L2 behind the session cache (borrowed;
   /// must outlive the service). Probed on L1 miss, refilled by promotion,
-  /// published to on evidence-backed verdicts; also turns on cross-session
-  /// single-flight for deferred detects. Null (the default) keeps the
+  /// published to on evidence-backed verdicts. Null (the default) keeps the
   /// pipeline byte-identical to the tier-less build. Fleets own one tier
   /// and point every session at it (FleetConfig::sharedVerdictTier).
   SharedVerdictTier* verdictTier = nullptr;
   /// Detection backend (borrowed; must outlive the service). When null the
-  /// service uses the shared InlineExecutor — detect() on the caller's
-  /// thread, byte-identical to the pre-fleet synchronous path. Fleets point
-  /// every session at one shared ThreadPool/Batching executor.
+  /// service uses the shared InlineExecutor. Either way detect() runs
+  /// synchronously on the thread advancing the service.
   DetectionExecutor* executor = nullptr;
-  /// Identity of the owning device session in a fleet — the major key the
-  /// deferred executors order completions and compose batches by. Fleet
-  /// assigns these; standalone services keep 0.
-  int sessionId = 0;
 };
 
 /// Per-session counters. Session-confined like the WorkLedger (see the
 /// thread-ownership rule in core/work_ledger.h): only the thread advancing
-/// the owning session writes them; fleets merge() value snapshots at epoch
-/// barriers.
+/// the owning session writes them; fleets merge() value snapshots once the
+/// session has retired.
 struct DarpaStats {
   std::int64_t eventsReceived CONFINED_TO("owning session") = 0;
   std::int64_t analysesRun CONFINED_TO("owning session") = 0;
@@ -144,7 +138,7 @@ struct DarpaStats {
   }
   /// Named alias of operator+= for the fleet roll-up call sites.
   DarpaStats& merge(const DarpaStats& o) { return *this += o; }
-  /// Value copy taken at an epoch barrier (session quiescent).
+  /// Value copy taken while the session is quiescent.
   [[nodiscard]] DarpaStats snapshot() const { return *this; }
 };
 

@@ -2,34 +2,16 @@
 
 #include <utility>
 
-#include "cv/one_stage.h"
-#include "util/clock.h"
-
 namespace darpa::core {
 
-void InlineExecutor::submit(DetectionRequest request) {
-  // Wall-clock + scratch-growth observability: the detect call runs on this
-  // thread, so the thread-local hotpath scratch stats delta is exactly this
-  // call's warm-up.
-  const cv::DetectScratchStats before = cv::hotpathScratchStats();
-  // Audited: feeds only DetectionTiming::actualMicros (observability axis).
-  // detlint: begin-allow(wall-clock-in-digest-path) observability axis only
-  const double startUs = wallMicros();
-  std::vector<cv::Detection> detections =
-      request.detector->detect(request.frame->pixels());
-  DetectionTiming timing;
-  timing.actualMicros = wallMicros() - startUs;
-  // detlint: end-allow(wall-clock-in-digest-path)
-  const cv::DetectScratchStats after = cv::hotpathScratchStats();
-  timing.scratchGrowths = after.growths - before.growths;
-  timing.scratchGrownBytes = after.grownBytes - before.grownBytes;
+std::vector<cv::Detection> InlineExecutor::detect(const cv::Detector& detector,
+                                                  FramePtr frame) {
+  std::vector<cv::Detection> detections = detector.detect(frame->pixels());
   // §IV-E rinse discipline: drop our reference the moment the model ran;
   // the frame scrubs its pixels when the last holder (usually the analysis
   // context finishing this same pass) lets go.
-  request.frame.reset();
-  if (request.onComplete) {
-    request.onComplete(std::move(detections), /*batchSize=*/1, timing);
-  }
+  frame.reset();
+  return detections;
 }
 
 InlineExecutor& defaultInlineExecutor() {

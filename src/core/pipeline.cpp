@@ -5,6 +5,7 @@
 #include "analysis/lint.h"
 #include "core/darpa_service.h"
 #include "core/verdict_tier.h"
+#include "cv/one_stage.h"
 
 namespace darpa::core {
 
@@ -98,10 +99,16 @@ bool DetectStage::shouldRun(const AnalysisContext& ctx) const {
 }
 
 void DetectStage::run(AnalysisContext& ctx, WorkLedger& ledger) {
-  // Never reached: the pipeline intercepts Stage::kDetect and routes the
-  // work through its DetectionExecutor (see AnalysisPipeline::advance).
-  (void)ctx;
-  (void)ledger;
+  // Custody of the frame transfers out of the vault and into the executor —
+  // a refcount move, not a pixel copy. The detector runs on this thread, so
+  // the thread-local hot-path scratch delta is exactly this call's warm-up.
+  const cv::DetectScratchStats before = cv::hotpathScratchStats();
+  ctx.detections = ctx.executor->detect(*ctx.detector, ctx.vault->take());
+  const cv::DetectScratchStats after = cv::hotpathScratchStats();
+  ledger.recordRun(Stage::kDetect, ctx.detector->costMacsPerImage() /
+                                       ledger.costs().macsPerCpuMs);
+  ledger.recordScratchGrowth(Stage::kDetect, after.growths - before.growths,
+                             after.grownBytes - before.grownBytes);
 }
 
 bool VerdictStage::shouldRun(const AnalysisContext& ctx) const {
@@ -167,24 +174,18 @@ AnalysisPipeline::AnalysisPipeline(std::size_t cacheCapacity,
   stages_.push_back(std::make_unique<ActStage>());
 }
 
-void AnalysisPipeline::run(std::shared_ptr<AnalysisContext> ctx,
-                           WorkLedger& ledger, DetectionExecutor& executor,
-                           AnalysisDone done) {
+void AnalysisPipeline::run(AnalysisContext& ctx, WorkLedger& ledger) {
   // One ScreenFrame per pass: the UI dump is captured once, shared by the
   // fingerprint probe and the lint stage, and later joined by the pixels
   // (screenshot stage) — the frame is the single owner of everything the
   // pass perceives. Decoration overlays are never part of the dump (they
   // live outside the app window), so a decorated screen fingerprints like
   // its clean self.
-  if (ctx->wm != nullptr) {
-    const android::Window* top = ctx->wm->topAppWindow();
-    ctx->frame = std::make_shared<ScreenFrame>(
-        ctx->wm->dumpTopWindow(),
+  if (ctx.wm != nullptr) {
+    const android::Window* top = ctx.wm->topAppWindow();
+    ctx.frame = std::make_shared<ScreenFrame>(
+        ctx.wm->dumpTopWindow(),
         top != nullptr ? top->packageName() : std::string{});
-    // Memoize the fingerprint on the session thread, before the frame can
-    // be shared with executor worker threads (ScreenFrame's protocol); the
-    // value itself is re-read wherever it is needed.
-    (void)ctx->frame->fingerprint();
   }
 
   // Verdict-cache probe, L1 then L2: a hit in either tier resolves the
@@ -192,29 +193,29 @@ void AnalysisPipeline::run(std::shared_ptr<AnalysisContext> ctx,
   // straight to the act stage. An L2 hit is promoted into L1 so the next
   // repeat of this screen is a session-local hit again. With no tier
   // wired this block is byte-identical to the historical L1-only probe.
-  if (ctx->wm != nullptr && (cache_.enabled() || tier_ != nullptr)) {
+  if (ctx.wm != nullptr && (cache_.enabled() || tier_ != nullptr)) {
     ledger.recordRun(Stage::kVerdict, ledger.costs().cacheLookupCpuMs);
     const VerdictCache::Entry* hit =
-        cache_.enabled() ? cache_.find(ctx->fingerprint()) : nullptr;
+        cache_.enabled() ? cache_.find(ctx.fingerprint()) : nullptr;
     if (hit != nullptr) {
       ledger.recordCacheHit();
-      ctx->fromCache = true;
-      ctx->isAui = hit->isAui;
-      ctx->detections = hit->detections;
+      ctx.fromCache = true;
+      ctx.isAui = hit->isAui;
+      ctx.detections = hit->detections;
     } else if (tier_ != nullptr) {
       // The L2 probe is a second lookup; price it as one when the L1
       // probe above already paid the first.
       if (cache_.enabled()) {
         ledger.recordRun(Stage::kVerdict, ledger.costs().cacheLookupCpuMs);
       }
-      if (auto shared = tier_->find(ctx->fingerprint())) {
+      if (auto shared = tier_->find(ctx.fingerprint())) {
         ledger.recordCacheHit();
-        ctx->fromCache = true;
-        ctx->fromSharedTier = true;
-        ctx->isAui = shared->isAui;
-        ctx->detections = std::move(shared->detections);
+        ctx.fromCache = true;
+        ctx.fromSharedTier = true;
+        ctx.isAui = shared->isAui;
+        ctx.detections = std::move(shared->detections);
         if (cache_.enabled()) {
-          cache_.put(ctx->fingerprint(), {ctx->isAui, ctx->detections});
+          cache_.put(ctx.fingerprint(), {ctx.isAui, ctx.detections});
         }
       } else {
         ledger.recordCacheMiss();
@@ -224,37 +225,10 @@ void AnalysisPipeline::run(std::shared_ptr<AnalysisContext> ctx,
     }
   }
 
-  // In-flight coalescing (deferred backends only): if a detect for this
-  // exact screen is already out, park the whole pass — nothing has run yet
-  // — and replay it once the primary lands. Inline backends never get here
-  // with an in-flight entry (their completions run inside submit()).
-  if (!ctx->fromCache && !executor.synchronous() && ctx->wm != nullptr) {
-    if (const auto it = inflight_.find(ctx->fingerprint());
-        it != inflight_.end()) {
-      ctx->pass = ledger.suspendAnalysis();
-      it->second.push_back({std::move(ctx), std::move(done)});
-      ++coalesced_;
-      return;
-    }
-  }
-
-  advance(0, std::move(ctx), ledger, executor, std::move(done));
-}
-
-void AnalysisPipeline::advance(std::size_t from,
-                               std::shared_ptr<AnalysisContext> ctx,
-                               WorkLedger& ledger, DetectionExecutor& executor,
-                               AnalysisDone done) {
-  for (std::size_t i = from; i < stages_.size(); ++i) {
-    AnalysisStage& stage = *stages_[i];
-    if (!stage.shouldRun(*ctx)) {
-      ledger.recordSkip(stage.kind());
+  for (const std::unique_ptr<AnalysisStage>& stage : stages_) {
+    if (!stage->shouldRun(ctx)) {
+      ledger.recordSkip(stage->kind());
       continue;
-    }
-    if (stage.kind() == Stage::kDetect) {
-      // Detach into the executor; the completion resumes at stage i + 1.
-      submitDetect(i + 1, std::move(ctx), ledger, executor, std::move(done));
-      return;
     }
     // Wall-clock observability around the stage's real execution; the
     // stage's own recordRun keeps pricing the modeled axis. Audited: both
@@ -262,90 +236,10 @@ void AnalysisPipeline::advance(std::size_t from,
     // digest-stable may consume (work_ledger.h).
     // detlint: begin-allow(wall-clock-in-digest-path) observability axis only
     const double startUs = wallMicros();
-    stage.run(*ctx, ledger);
-    ledger.recordActual(stage.kind(), wallMicros() - startUs);
+    stage->run(ctx, ledger);
+    ledger.recordActual(stage->kind(), wallMicros() - startUs);
     // detlint: end-allow(wall-clock-in-digest-path)
   }
-  if (done) done(*ctx);
-}
-
-void AnalysisPipeline::submitDetect(std::size_t next,
-                                    std::shared_ptr<AnalysisContext> ctx,
-                                    WorkLedger& ledger,
-                                    DetectionExecutor& executor,
-                                    AnalysisDone done) {
-  DetectionRequest request;
-  // Custody of the frame transfers out of the vault and into the request —
-  // a refcount move, not a pixel copy. The executor drops its reference
-  // after the model ran and the frame scrubs itself on last release, so
-  // the §IV-E single-screenshot discipline holds across deferred backends.
-  request.frame = ctx->vault->take();
-  request.detector = ctx->detector;
-  request.sessionId = ctx->sessionId;
-  request.seq = nextSeq_++;
-  request.replyLooper =
-      ctx->service != nullptr && ctx->service->connected()
-          ? ctx->service->looper()
-          : nullptr;
-  // Park the ledger's in-flight pass so other passes of this session can
-  // begin and end while the detection is out; the completion restores it.
-  // For the inline executor the completion runs before submit() returns,
-  // making the park/restore an exact no-op.
-  ctx->pass = ledger.suspendAnalysis();
-  // Register the in-flight key so same-fingerprint passes coalesce behind
-  // this request instead of duplicating it (deferred backends only; the
-  // inline executor completes before run() could ever observe the entry).
-  if (!executor.synchronous()) inflight_.try_emplace(ctx->fingerprint());
-  // Cross-SESSION single-flight (tiered pipelines only): tag the request
-  // with the screen fingerprint so a deferred executor's flush can
-  // coalesce concurrent misses from different sessions into one model run
-  // (the fingerprint determines the verdict, so any leader's detections
-  // serve every follower). Untagged (0) requests never coalesce.
-  request.coalesceKey = tier_ != nullptr ? ctx->fingerprint() : 0;
-  request.onComplete = [this, next, ctx, &ledger, &executor,
-                        done = std::move(done)](
-                           std::vector<cv::Detection> detections,
-                           int batchSize,
-                           const DetectionTiming& timing) mutable {
-    ledger.resumeAnalysis(ctx->pass);
-    ctx->detections = std::move(detections);
-    if (batchSize == 0) {
-      // Single-flight suppressed delivery: another session's canonical
-      // leader ran the model in this flush and these are its detections.
-      // No model ran for this request, so the stage prices at zero
-      // modeled CPU — the whole point of the coalescing — and the saved
-      // detect is reported to the tier's observability counters.
-      ledger.recordRun(Stage::kDetect, 0.0, timing.actualMicros);
-      if (tier_ != nullptr) tier_->noteSuppressedDetect();
-    } else {
-      // Deferred backends report the batch the request rode in; its
-      // amortized per-image share prices the stage. An unbatched detect
-      // (batchSize 1) costs exactly costMacsPerImage. The executor's
-      // measured wall clock and scratch warm-up ride along on their own
-      // observability axes.
-      const double macsShare =
-          ctx->detector->costMacsPerBatch(batchSize) / batchSize;
-      ledger.recordRun(Stage::kDetect, macsShare / ledger.costs().macsPerCpuMs,
-                       timing.actualMicros);
-      ledger.recordScratchGrowth(Stage::kDetect, timing.scratchGrowths,
-                                 timing.scratchGrownBytes);
-    }
-    advance(next, ctx, ledger, executor, std::move(done));
-    // The pass (verdict cached, epilogue run) is complete: release the
-    // in-flight key, then replay the coalesced followers. The cache now
-    // holds this screen's verdict, so they resolve as the cache hits they
-    // would have been under a synchronous backend; a follower whose screen
-    // moved on re-runs in full and may become a new primary.
-    auto node = inflight_.extract(ctx->fingerprint());
-    if (!node.empty()) {
-      for (Follower& follower : node.mapped()) {
-        ledger.resumeAnalysis(follower.ctx->pass);
-        run(std::move(follower.ctx), ledger, executor,
-            std::move(follower.done));
-      }
-    }
-  };
-  executor.submit(std::move(request));
 }
 
 }  // namespace darpa::core

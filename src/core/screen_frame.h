@@ -4,15 +4,15 @@
 // foreground package, the lazily memoized screen fingerprint, and (once the
 // screenshot stage ran) the composited pixels. Every layer that previously
 // deep-copied that evidence — the analysis context, the ScreenshotVault,
-// DetectionExecutor requests parked across an epoch, batch assembly in the
-// fleet executors — now holds a shared_ptr to the same frame, so a batched
-// fleet detect of 64 sessions shares 64 frames with zero pixel copies.
+// the detection executor — now holds a shared_ptr to the same frame, with
+// zero pixel copies.
 //
 // Immutability protocol: the owning session thread builds the frame
-// (constructor + at most one attachPixels()) and memoizes the fingerprint
-// BEFORE the frame is shared across threads; after that every holder sees
-// it through FramePtr (shared_ptr<const ScreenFrame>) and only reads. The
-// pixels keep their slab provenance, so pooled buffers flow back to the
+// (constructor + at most one attachPixels()); after that every holder sees
+// it through FramePtr (shared_ptr<const ScreenFrame>) and only reads. A
+// frame stays confined to its session, like the rest of the pass state,
+// which is what makes the lazily memoized fingerprint safe. The pixels
+// keep their slab provenance, so pooled buffers flow back to the
 // gfx::FramePool when the last holder lets go.
 //
 // §IV-E custody: the destructor scrubs the pixel buffer (overwrites with
@@ -44,12 +44,10 @@ class ScreenFrame {
   [[nodiscard]] const android::UiDump& dump() const { return dump_; }
   [[nodiscard]] const std::string& packageName() const { return package_; }
 
-  /// The package-mixed screen fingerprint, memoized on first call. Call
-  /// once on the owning session's thread before the frame is shared; every
-  /// later call (any thread) reads the memo.
+  /// The package-mixed screen fingerprint, memoized on first call.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Attaches the composited screenshot. At most once, before sharing.
+  /// Attaches the composited screenshot. At most once.
   void attachPixels(gfx::Bitmap pixels);
   [[nodiscard]] bool hasPixels() const { return !pixels_.empty(); }
   /// The attached screenshot (an empty bitmap when none was attached).

@@ -33,9 +33,8 @@ class ScreenshotVault {
   /// the last reference drops (scrub-on-last-release).
   void rinse();
 
-  /// Transfers custody of the held frame to the caller — the fleet's
-  /// detection executors, which drop their reference right after the model
-  /// ran. Counts as a rinse for the audit invariant (the vault holds
+  /// Transfers custody of the held frame to the caller — the detection
+  /// executor, which drops its reference right after the model ran. Counts as a rinse for the audit invariant (the vault holds
   /// nothing afterwards); returns null when not holding.
   [[nodiscard]] FramePtr take();
 

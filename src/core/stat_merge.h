@@ -1,10 +1,8 @@
 // StatMergeShards — the fleet's sharded live stat-merge path.
 //
-// The lockstep fleet aggregates per-session DarpaStats/WorkLedger only at a
-// quiescent barrier: every session is stopped, the control thread scans
-// them in session-id order, merges, done. The work-stealing scheduler has
-// no global barrier — sessions retire one by one, on whichever worker ran
-// their final slice — so aggregation becomes an ownership hand-off instead:
+// The work-stealing scheduler has no global barrier — sessions retire one
+// by one, on whichever worker ran their final slice — so aggregation is an
+// ownership hand-off:
 // the retiring worker folds the session's totals into a shard here (under
 // LockRank::kStatMerge), and readers assemble the fleet roll-up from the
 // shards without ever stopping the world.
@@ -14,7 +12,7 @@
 // retirement order (a wall-clock artifact) would make the merged cpuMs
 // differ in final bits between runs. Shards therefore store one folded
 // entry PER SESSION, and merged() replays them in ascending session-id
-// order: bit-identical to the lockstep driver's quiescent scan, for any
+// order: bit-identical to a quiescent scan of every session, for any
 // worker count, any retirement order, any shard count.
 //
 // Locking: each shard has its own RankedMutex at kStatMerge. All shards
@@ -70,8 +68,8 @@ class StatMergeShards {
 
   /// Assembles the roll-up: copies every shard's entries (one shard lock at
   /// a time), then merges in ascending session-id order — the exact merge
-  /// order of the lockstep quiescent scan, so double summation is
-  /// bit-identical to it. Thread-safe; a concurrent fold lands in the
+  /// order of a quiescent scan, so double summation is bit-identical to
+  /// it. Thread-safe; a concurrent fold lands in the
   /// result iff its shard was copied after it.
   [[nodiscard]] Merged merged() const;
 

@@ -82,8 +82,6 @@ SharedVerdictTier::Stats SharedVerdictTier::stats() const {
     stats.evictions += shard->evictions;
     stats.entries += static_cast<std::int64_t>(shard->lru.size());
   }
-  stats.suppressedDetects =
-      suppressedDetects_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -12,13 +12,11 @@
 //   publish: VerdictStage stores evidence-backed verdicts in L1 AND L2
 //
 // Concurrency: N-way sharded by fingerprint; each shard is a bounded LRU
-// under its own RankedMutex at LockRank::kVerdictTier — above the executor
-// queues (completions publish while no executor lock is held, but a
-// work-stealing flush holds kFleetFlush=150 < 400 when it delivers
-// directly) and below the stat-merge and frame-pool ranks, so a tier
-// operation can never be entangled with a slab release or a retirement
-// fold. All shards share one rank: a thread holds at most one shard lock
-// at a time, and nothing is ever called out to while it is held.
+// under its own RankedMutex at LockRank::kVerdictTier — below the
+// stat-merge and frame-pool ranks, so a tier operation can never be
+// entangled with a slab release or a retirement fold. All shards share one
+// rank: a thread holds at most one shard lock at a time, and nothing is
+// ever called out to while it is held.
 //
 // Poisoning guard: publish() mirrors L1's seeding rule — only verdicts
 // resting on real evidence (a confident lint resolution or a usable
@@ -26,14 +24,9 @@
 // the fleet with its evidence-free verdict; such publishes are counted and
 // dropped.
 //
-// Cross-session single-flight: the tier does not block concurrent misses
-// itself (sessions may not stall mid-slice). Instead, a pipeline wired to
-// a tier tags its DetectionRequests with the screen fingerprint as
-// `coalesceKey`; the deferred executors dedupe each flush so one canonical
-// leader per fingerprint runs the model and every follower is delivered
-// the leader's detections with `batchSize == 0` — the suppressed-detect
-// marker the completion prices at zero modeled cost and reports here via
-// noteSuppressedDetect().
+// Concurrent misses are not deduplicated: two sessions that miss the same
+// fingerprint at the same time both run the detector, and both publish the
+// same verdict.
 //
 // Determinism: with no tier wired (the default), no code path changes and
 // all fleet digests stay byte-identical to the tier-less build. With a
@@ -44,7 +37,6 @@
 // contracts). Tier stats are observability and must never feed a digest.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -95,7 +87,6 @@ class SharedVerdictTier {
     std::int64_t misses = 0;
     std::int64_t publishes = 0;             ///< Admitted records.
     std::int64_t rejectedUnevidenced = 0;   ///< Poisoning-guard drops.
-    std::int64_t suppressedDetects = 0;     ///< Single-flight followers.
     std::int64_t evictions = 0;
     std::int64_t entries = 0;               ///< Live records, all shards.
   };
@@ -121,13 +112,6 @@ class SharedVerdictTier {
   /// existing fingerprint refreshes value and recency.
   bool publish(std::uint64_t fingerprint, VerdictRecord record,
                Evidence evidence);
-
-  /// Reported by pipeline completions that received a single-flight
-  /// suppressed delivery (batchSize == 0): a detect this tier's coalescing
-  /// made unnecessary.
-  void noteSuppressedDetect() {
-    suppressedDetects_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// Drops every record (counters are kept; dropped records do not count
   /// as evictions).
@@ -159,7 +143,6 @@ class SharedVerdictTier {
   Options options_;
   /// Fixed after construction (RankedMutex pins each shard in place).
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::int64_t> suppressedDetects_{0};
 };
 
 }  // namespace darpa::core

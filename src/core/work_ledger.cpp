@@ -42,19 +42,6 @@ void WorkLedger::endAnalysis() {
   passCpuMs_ = 0.0;
 }
 
-WorkLedger::PassState WorkLedger::suspendAnalysis() {
-  const PassState state{inAnalysis_, passCpuMs_, passStartUs_};
-  inAnalysis_ = false;
-  passCpuMs_ = 0.0;
-  return state;
-}
-
-void WorkLedger::resumeAnalysis(const PassState& state) {
-  inAnalysis_ = state.active;
-  passCpuMs_ = state.cpuMs;
-  passStartUs_ = state.startUs;
-}
-
 void WorkLedger::recordRun(Stage stage, double cpuMs, double actualUs) {
   StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
   ++tally.runs;

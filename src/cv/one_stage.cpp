@@ -57,7 +57,7 @@ std::vector<GridPos> enumerateGrid(const OneStageConfig& config, Size size) {
 
 /// Per-thread arena for the batched detect path: the anchor grid (cached
 /// across same-sized frames), the descriptor matrix, the logit matrix, and
-/// the MLP forward scratch. Buffer growths are counted so the executors and
+/// the MLP forward scratch. Buffer growths are counted so the detect stage and
 /// the hot-path bench can assert the steady state allocates nothing.
 struct DetectScratch {
   std::vector<GridPos> grid;
@@ -470,84 +470,6 @@ double OneStageDetector::costMacsPerImage() const {
   const double featureMacs =
       static_cast<double>(size.width) * size.height * 3.0;  // channel sweeps
   return candidates * headMacs + featureMacs;
-}
-
-std::vector<std::vector<Detection>> OneStageDetector::detectBatch(
-    std::span<const gfx::Bitmap* const> batch) const {
-  // Results must be byte-identical to lone detect() calls so batching can
-  // never change a session's verdict — guaranteed because each descriptor
-  // row's score is independent of what else shares its GEMM. What batching
-  // buys physically is descriptor packing across images: one head call per
-  // pack keeps the weights hot instead of re-streaming them per image
-  // (costMacsPerBatch() models exactly that amortization).
-  std::vector<std::vector<Detection>> out(batch.size());
-  if (!config_.batchedHead) {
-    for (std::size_t i = 0; i < batch.size(); ++i) out[i] = detect(*batch[i]);
-    return out;
-  }
-  // Cap pack size so the descriptor matrix stays cache/memory-friendly; the
-  // grid cache keys on frame size, so a pack also breaks where sizes change.
-  constexpr std::size_t kMaxPackRows = 1 << 16;
-  DetectScratch& s = detectScratch();
-  const std::size_t dim = kCandidateFeatureDim;
-  std::size_t b = 0;
-  while (b < batch.size()) {
-    const Size size = batch[b]->size();
-    const std::vector<GridPos>& grid = s.gridFor(config_, size);
-    const std::size_t rowsPerImage = grid.size();
-    std::size_t e = b + 1;
-    while (e < batch.size() && batch[e]->size().width == size.width &&
-           batch[e]->size().height == size.height &&
-           (e - b + 1) * rowsPerImage <= kMaxPackRows) {
-      ++e;
-    }
-    const std::size_t images = e - b;
-    const std::size_t rows = images * rowsPerImage;
-    float* feats = s.ensure(s.features, rows * dim);
-    for (std::size_t i = 0; i < images; ++i) {
-      // The FeatureMap lives only while its rows are filled: the pack never
-      // holds more than one image's planes at a time.
-      const FeatureMap map(*batch[b + i], config_.channels,
-                           config_.featureScale);
-      float* imageRows = feats + i * rowsPerImage * dim;
-      for (std::size_t r = 0; r < rowsPerImage; ++r) {
-        candidateFeaturesPlannedInto(
-            map, grid[r].box(config_.anchors),
-            {s.geometry.data() + r * kCandidateGeometryDim,
-             static_cast<std::size_t>(kCandidateGeometryDim)},
-            {imageRows + r * dim, dim});
-      }
-    }
-    float* logits = s.ensure(s.logits, rows * 6);
-    runHeadBatch({feats, rows * dim}, static_cast<int>(rows),
-                 {logits, rows * 6}, s.forward);
-    for (std::size_t i = 0; i < images; ++i) {
-      std::vector<Detection> raw;
-      const float* imageLogits = logits + i * rowsPerImage * 6;
-      for (std::size_t r = 0; r < rowsPerImage; ++r) {
-        decodeCandidate(config_, grid[r], imageLogits + r * 6, raw);
-      }
-      out[b + i] = postprocess(std::move(raw), *batch[b + i]);
-    }
-    b = e;
-  }
-  return out;
-}
-
-double OneStageDetector::costMacsPerBatch(int batchSize) const {
-  // The macsPerCpuMs constant is calibrated for batch-1 inference, where
-  // every image re-streams the head weights, rebuilds the anchor-grid
-  // sweep plan, and reloads the int8 scale tables. Those are
-  // batch-invariant: in a coalesced detectBatch they are paid once, so in
-  // effective (throughput-normalized) MACs an n-image batch costs the
-  // setup share once plus the image-unique share n times. The 0.6 share
-  // reflects that at this model size the candidate loop is memory-bound on
-  // weight traffic rather than compute-bound.
-  constexpr double kBatchInvariantShare = 0.6;
-  if (batchSize <= 1) return costMacsPerImage();
-  const double perImage = costMacsPerImage();
-  return perImage *
-         (kBatchInvariantShare + (1.0 - kBatchInvariantShare) * batchSize);
 }
 
 void OneStageDetector::enableQuantized(

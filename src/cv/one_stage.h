@@ -112,15 +112,6 @@ class OneStageDetector : public Detector {
       const gfx::Bitmap& screenshot) const override;
   [[nodiscard]] double costMacsPerImage() const override;
 
-  /// Batched inference for the fleet's BatchingExecutor. Verdict-identical
-  /// to per-image detect(); what batching buys is the cost model below.
-  [[nodiscard]] std::vector<std::vector<Detection>> detectBatch(
-      std::span<const gfx::Bitmap* const> batch) const override;
-  /// Amortized batch cost: the batch-invariant share of a single inference
-  /// (head-weight streaming into cache, anchor-grid plan, int8 scale
-  /// tables) is paid once per detectBatch instead of once per image.
-  [[nodiscard]] double costMacsPerBatch(int batchSize) const override;
-
   /// Converts the head to int8 using `calibrationImages` (typically the
   /// validation split) and switches inference to the quantized path.
   void enableQuantized(std::span<const gfx::Bitmap> calibrationImages);
@@ -154,8 +145,7 @@ class OneStageDetector : public Detector {
   /// whichever head (fp32/int8) is active.
   void runHeadBatch(std::span<const float> features, int rows,
                     std::span<float> logits, nn::ForwardScratch& scratch) const;
-  /// Shared tail of detect()/detectBatch(): NMS, flood-fill refinement,
-  /// duplicate merge.
+  /// Tail of detect(): NMS, flood-fill refinement, duplicate merge.
   [[nodiscard]] std::vector<Detection> postprocess(
       std::vector<Detection> raw, const gfx::Bitmap& screenshot) const;
 
@@ -168,8 +158,9 @@ class OneStageDetector : public Detector {
 /// Per-thread scratch statistics for the detector hot path: the batched
 /// detect path's arenas (grid cache, descriptor matrix, logits, MLP forward
 /// scratch) plus the fused feature pass's arena. Growths stop once the
-/// working sizes have been seen; the executors diff this around detect
-/// calls and the hot-path bench asserts zero steady-state growth.
+/// working sizes have been seen; the pipeline's detect stage diffs this
+/// around detect calls and the hot-path bench asserts zero steady-state
+/// growth.
 struct DetectScratchStats {
   std::int64_t growths = 0;
   std::int64_t grownBytes = 0;

@@ -4,19 +4,10 @@
 
 namespace darpa::fleet {
 
-namespace {
-
-core::DarpaConfig withSessionId(core::DarpaConfig config, int id) {
-  config.sessionId = id;
-  return config;
-}
-
-}  // namespace
-
 DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
     : config_(std::move(config)),
       system_(config_.window),
-      service_(detector, withSessionId(config_.darpa, config_.id)),
+      service_(detector, config_.darpa),
       app_(system_, config_.profile, config_.appSeed),
       monkey_(system_, config_.monkeySeed) {
   if (config_.framePool != nullptr) {
@@ -35,9 +26,7 @@ DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
 
 // Members tear down in reverse order: monkey and app first, then the
 // service (its destructor removes decorations through the still-alive
-// window manager), then the Android system. In-flight deferred detections
-// must have been flushed by then — the Fleet drains its executor before
-// sessions are destroyed.
+// window manager), then the Android system.
 DeviceSession::~DeviceSession() = default;
 
 void DeviceSession::start() {

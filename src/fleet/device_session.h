@@ -11,7 +11,7 @@
 // inline (positive-analysis timeline -> AUI exposure coverage) is built in.
 //
 // Thread ownership: a session is confined to whichever fleet worker thread
-// is currently advancing it; the Fleet's epoch barriers are the only
+// is currently advancing it; the scheduler's run queues are the only
 // hand-off points (see the ownership rule in core/work_ledger.h). A
 // standalone DeviceSession on one thread is a fleet of size 1 — with the
 // default InlineExecutor it is byte-identical to the pre-fleet hand-wired
@@ -32,7 +32,7 @@ namespace darpa::fleet {
 class DeviceSession {
  public:
   struct Config {
-    int id = 0;  ///< Fleet-unique; becomes DarpaConfig::sessionId.
+    int id = 0;  ///< Fleet-unique session id.
     core::DarpaConfig darpa;
     android::WindowManager::Config window;
     apps::AppProfile profile;
@@ -64,8 +64,7 @@ class DeviceSession {
   void start();
 
   /// Runs every task due up to `deadline` and advances the clock there —
-  /// one fleet phase. Also drains completions the executor posted to this
-  /// session's looper at a barrier (they are due immediately).
+  /// one fleet slice.
   void advanceTo(Millis deadline);
 
   /// Convenience for standalone use: start() + advanceTo(duration).

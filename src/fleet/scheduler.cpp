@@ -9,21 +9,14 @@ namespace darpa::fleet {
 
 WorkStealingScheduler::WorkStealingScheduler(
     std::vector<std::unique_ptr<DeviceSession>>& sessions,
-    const std::vector<std::unique_ptr<SessionInbox>>& inboxes,
-    core::DetectionExecutor& backend, core::StatMergeShards& statMerge,
-    Config config)
-    : sessions_(&sessions),
-      backend_(&backend),
-      statMerge_(&statMerge),
-      config_(config),
-      coalescing_(backend.coalescing()) {
+    core::StatMergeShards& statMerge, Config config)
+    : statMerge_(&statMerge), config_(config) {
   if (config_.workers < 1) config_.workers = 1;
   if (config_.epoch.count < 1) config_.epoch = ms(1);
 
   tasks_.resize(sessions.size());
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     tasks_[i].session = sessions[i].get();
-    tasks_[i].inbox = i < inboxes.size() ? inboxes[i].get() : nullptr;
   }
   shards_.reserve(static_cast<std::size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) {
@@ -41,9 +34,8 @@ void WorkStealingScheduler::run() {
   metrics_.finishWallMs.assign(static_cast<std::size_t>(n), 0.0);
 
   if (config_.duration.count <= 0) {
-    // The lockstep driver runs no phase at duration 0; match it exactly —
-    // no slices, but sessions still fold their (zero-activity) totals so
-    // snapshot() sees every session either way.
+    // Nothing to advance at duration 0 — no slices, but sessions still fold
+    // their (zero-activity) totals so snapshot() sees every session.
     for (int id = 0; id < n; ++id) retire(id);
     return;
   }
@@ -51,7 +43,6 @@ void WorkStealingScheduler::run() {
   {
     const util::LockGuard lock(control_);
     active_ = n;
-    if (coalescing_ && n > 0) cursorCounts_[1] = n;
     for (int id = 0; id < n; ++id) enqueueLocked(id);
   }
 
@@ -65,25 +56,15 @@ void WorkStealingScheduler::run() {
     }
     for (std::thread& worker : workers) worker.join();
   }
-
-  {
-    const util::LockGuard lock(control_);
-    metrics_.groupFlushes = groupFlushes_;
-  }
-  {
-    const util::LockGuard lock(flushMutex_);
-    metrics_.sessionFlushes = sessionFlushes_;
-  }
 }
 
 void WorkStealingScheduler::workerLoop(int worker) {
   WorkerStats ws;
   for (;;) {
-    drainClosableGroups();
     const int id = findWork(worker, ws);
     if (id >= 0) {
       ++ws.slices;
-      runSlice(id, ws);
+      runSlice(id);
       continue;
     }
     if (!idleWait()) break;
@@ -130,69 +111,24 @@ bool WorkStealingScheduler::idleWait() {
   for (;;) {
     if (active_ == 0) return false;
     if (runnableHint_.load(std::memory_order_acquire) > 0) return true;
-    if (!flushInProgress_ && closableGroupPendingLocked()) return true;
     idleCv_.wait(control_);
   }
 }
 
-void WorkStealingScheduler::runSlice(int id, WorkerStats& ws) {
-  (void)ws;
+void WorkStealingScheduler::runSlice(int id) {
   Task& task = tasks_[static_cast<std::size_t>(id)];
   const int slice = task.cursor;
-
-  // One slice == one lockstep epoch for this session: the Looper first
-  // runs everything due at or before target(slice) — which includes the
-  // detect completions posted due target(slice - 1) — then the session
-  // advances to target(slice). A single advanceTo covers both because the
-  // Looper executes strictly in (due, id) order.
   task.session->advanceTo(target(slice));
 
-  std::vector<core::DetectionRequest> requests;
-  if (task.inbox != nullptr) requests = task.inbox->take();
-  const bool submitted = !requests.empty();
-
-  if (submitted && !coalescing_) {
-    // Non-coalescing backend: per-image pricing, so no cross-session batch
-    // composition to preserve. Flush this session's requests immediately —
-    // the backend queue is empty between kFleetFlush sections, so the
-    // flush-confined executor statistics see one session at a time.
-    const util::LockGuard lock(flushMutex_);
-    for (core::DetectionRequest& request : requests) {
-      backend_->submit(std::move(request));
-    }
-    backend_->flush();
-    ++sessionFlushes_;
-    requests.clear();
-  }
-
   const bool lastSlice = target(slice) == config_.duration;
-  bool retired = false;
-  {
-    const util::LockGuard lock(control_);
-    decCursorLocked(slice);
-    task.cursor = slice + 1;
-    if (coalescing_ && submitted) {
-      // Park until group `slice` flushes. The session's NEXT cursor still
-      // counts in the census — it holds group slice+1 open, because the
-      // completions it drains next slice can trigger new submissions there.
-      Group& group = groups_[slice];
-      for (core::DetectionRequest& request : requests) {
-        group.requests.push_back(std::move(request));
-      }
-      group.waiters.push_back(id);
-      incCursorLocked(task.cursor);
-    } else if (!submitted && lastSlice) {
-      // Covered the full duration and the last slice went quiet: done.
-      // (A session that still submitted keeps running settle slices — its
-      // completions may spawn follow-up work — until one comes up empty.)
-      retired = true;
-    } else {
-      incCursorLocked(task.cursor);
-      enqueueLocked(id);
-    }
-    idleCv_.notifyAll();
+  if (lastSlice) {
+    retire(id);
+    return;
   }
-  if (retired) retire(id);
+  task.cursor = slice + 1;
+  const util::LockGuard lock(control_);
+  enqueueLocked(id);
+  idleCv_.notifyAll();
 }
 
 void WorkStealingScheduler::retire(int id) {
@@ -220,58 +156,6 @@ void WorkStealingScheduler::retire(int id) {
   idleCv_.notifyAll();
 }
 
-bool WorkStealingScheduler::closableGroupPendingLocked() const {
-  if (groups_.empty()) return false;
-  // Groups are created on first submission, so begin() is both the lowest
-  // and a non-empty one. It closes when every live cursor has passed it;
-  // parked waiters count at cursor g+1 and retired sessions count nowhere,
-  // so neither can reopen it.
-  const int lowest = groups_.begin()->first;
-  return cursorCounts_.empty() || cursorCounts_.begin()->first > lowest;
-}
-
-WorkStealingScheduler::ClaimedGroup WorkStealingScheduler::claimClosableGroup() {
-  ClaimedGroup claimed;
-  const util::LockGuard lock(control_);
-  if (flushInProgress_ || !closableGroupPendingLocked()) return claimed;
-  const auto it = groups_.begin();
-  claimed.index = it->first;
-  claimed.requests = std::move(it->second.requests);
-  claimed.waiters = std::move(it->second.waiters);
-  groups_.erase(it);
-  // Claim the flush token: groups must reach the backend in index order
-  // (the flush epoch sequence lockstep produced), so only one closed group
-  // is in flight at a time.
-  flushInProgress_ = true;
-  return claimed;
-}
-
-void WorkStealingScheduler::drainClosableGroups() {
-  for (;;) {
-    ClaimedGroup claimed = claimClosableGroup();
-    if (claimed.index < 0) return;
-    {
-      // Replay the group into the backend. No pre-sort needed: the
-      // backend's flush orders its queue canonically by (sessionId, seq)
-      // itself, and the request SET is the lockstep epoch set.
-      const util::LockGuard lock(flushMutex_);
-      for (core::DetectionRequest& request : claimed.requests) {
-        backend_->submit(std::move(request));
-      }
-      backend_->flush();
-    }
-    {
-      const util::LockGuard lock(control_);
-      flushInProgress_ = false;
-      ++groupFlushes_;
-      // The waiters' completions are now queued in their Loopers; they are
-      // runnable again at their (already-incremented) cursors.
-      for (const int id : claimed.waiters) enqueueLocked(id);
-      idleCv_.notifyAll();
-    }
-  }
-}
-
 void WorkStealingScheduler::enqueueLocked(int id) {
   const std::int64_t wake = target(tasks_[static_cast<std::size_t>(id)].cursor).count;
   Shard& shard = *shards_[static_cast<std::size_t>(id) % shards_.size()];
@@ -281,17 +165,6 @@ void WorkStealingScheduler::enqueueLocked(int id) {
     shard.queue.insert({wake, id});
   }
   runnableHint_.fetch_add(1, std::memory_order_release);
-}
-
-void WorkStealingScheduler::incCursorLocked(int cursor) {
-  if (!coalescing_) return;
-  ++cursorCounts_[cursor];
-}
-
-void WorkStealingScheduler::decCursorLocked(int cursor) {
-  if (!coalescing_) return;
-  const auto it = cursorCounts_.find(cursor);
-  if (it != cursorCounts_.end() && --it->second == 0) cursorCounts_.erase(it);
 }
 
 }  // namespace darpa::fleet

@@ -1,49 +1,25 @@
-// WorkStealingScheduler — the fleet's barrier-free session driver.
+// WorkStealingScheduler — drives the fleet's sessions.
 //
-// The lockstep driver advances every session to the epoch target, joins,
-// flushes the detection backend, joins again — so one straggler session
-// stalls its whole shard, and the whole fleet idles at every barrier. Here
-// sessions become resumable TASKS instead: each carries a cursor (the next
-// slice of simulated time to run), lives in a per-shard run queue keyed by
-// its next-wake simulated time, and is re-enqueued the moment whatever it
-// was waiting for resolves. Workers pop the most-behind session from their
+// Sessions are resumable TASKS: each carries a cursor (the next slice of
+// simulated time to run) and lives in a per-shard run queue keyed by its
+// next-wake simulated time. Workers pop the most-behind session from their
 // own shard and STEAL the furthest-ahead session from a sibling's queue
-// when theirs is dry — no phase, no join, no global drain.
+// when theirs is dry — no phase, no join, no global barrier. One straggler
+// slows only itself.
 //
-// The determinism contract (the reason this is a refactor, not a rewrite):
-// merged fig8/Table III/Table VII digests are byte-identical to the
-// lockstep driver, for any worker count, any steal interleaving, any rerun.
-// Slice j of a session covers exactly what the lockstep driver's phases ran
-// for it in epoch j — [drain completions due at target(j-1); advance to
-// target(j) = min(duration, j*epoch)] — so the requests a session submits
-// during slice j are exactly its lockstep epoch-j submissions. What happens
-// to them depends on the backend:
+// Slice j of a session is one advanceTo(target(j)), target(j) =
+// min(duration, j*epoch). Detection runs inline inside the slice, on the
+// worker advancing the session (core/detection_executor.h), so a slice
+// leaves nothing behind: the session is re-enqueued for slice j+1 at once,
+// or retires after its last slice.
 //
-//  * Coalescing backends (BatchingExecutor): per-image modeled cost depends
-//    on batch composition, so flush group G_j collects every session's
-//    slice-j submissions and flushes only when no live session can still
-//    add to it (every cursor has passed j — tracked as a multiset of
-//    cursors under the control lock). The group's request set equals the
-//    lockstep epoch-j flush set, the backend's canonical (sessionId, seq)
-//    sort and chunking are unchanged, so batch composition — and every
-//    modeled cost derived from it — is identical. Sessions that submitted
-//    into G_j park until the flush (their completions are what slice j+1
-//    drains); sessions that submitted nothing NEVER wait — the straggler
-//    decoupling the lockstep barrier could not offer.
-//  * Non-coalescing backends (ThreadPoolExecutor): cost is per-image, so
-//    each session's requests are flushed right at its slice end, with no
-//    cross-session wait at all. Completions are posted to the session's
-//    quiescent looper due at target(j), the same simulated delivery instant
-//    as the lockstep barrier.
-//  * Synchronous backends (InlineExecutor): detects ran inside the slice;
-//    there is nothing to park and nothing to wait for.
-//
-// For asynchronous backends each session's DarpaConfig executor is a
-// SessionInbox — a session-confined capture proxy — so a request NEVER
-// reaches the shared backend while its session is mid-slice; the scheduler
-// replays inboxes into the backend under LockRank::kFleetFlush, which
-// serializes backend flush epochs (the executors' flush-confined statistics
-// contract).
+// The determinism contract: sessions share no mutable state (with the
+// shared verdict tier off), so WHO runs a slice and WHEN in wall clock is
+// irrelevant; only each session's own slice sequence matters, and that is
+// fixed by the config. Merged fig8/Table III/Table VII digests are
+// therefore byte-identical for any worker count, any steal interleaving,
+// any rerun, and equal to an epoch-barrier reference that advances every
+// session epoch by epoch (FleetSchedulerTest holds the two equal).
 //
 // After its final slice a session RETIRES: the worker folds its
 // stats/ledger/coverage into core::StatMergeShards (LockRank::kStatMerge)
@@ -51,23 +27,20 @@
 // merge replays folded sessions in id order, bit-equal to one.
 //
 // Lock order (see util/lock_rank.h): control (100) -> shard queue (200)
-// while enqueuing; flush (150) -> executor queue (300) -> frame pool
-// (600/650) while flushing — and a directly-invoked completion under the
-// flush lock may probe/publish a SharedVerdictTier stripe (400), still in
-// rank order; stat merge (500) alone while folding. Shard
+// while enqueuing; stat merge (500) alone while folding. A slice itself
+// runs with no scheduler lock held, so the pipeline's own locks (verdict
+// tier stripes, frame pool) are taken from an empty rank stack. Shard
 // locks share a rank — a thread never holds two (stealing probes siblings
 // only after releasing its own shard).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
-#include "core/detection_executor.h"
 #include "core/stat_merge.h"
 #include "fleet/device_session.h"
 #include "util/lock_rank.h"
@@ -75,46 +48,14 @@
 
 namespace darpa::fleet {
 
-/// Per-session capture proxy installed as the session's DetectionExecutor
-/// when the work-stealing driver fronts an asynchronous backend. The
-/// pipeline parks detect requests here; only the worker currently advancing
-/// the owning session touches it (session-confined, like the Looper). The
-/// scheduler take()s the requests at slice end and replays them into the
-/// shared backend. flush() is a no-op on purpose: WHEN the backend flushes
-/// is the scheduler's decision, not the pipeline's.
-class SessionInbox final : public core::DetectionExecutor {
- public:
-  void submit(core::DetectionRequest request) override {
-    parked_.push_back(std::move(request));
-  }
-  void flush() override {}
-  [[nodiscard]] std::size_t pendingCount() const override {
-    return parked_.size();
-  }
-  [[nodiscard]] bool synchronous() const override { return false; }
-  [[nodiscard]] const char* name() const override { return "ws-inbox"; }
-
-  /// Drains the parked requests (scheduler-side, at slice end).
-  [[nodiscard]] std::vector<core::DetectionRequest> take() {
-    std::vector<core::DetectionRequest> out;
-    out.swap(parked_);
-    return out;
-  }
-
- private:
-  std::vector<core::DetectionRequest> parked_ CONFINED_TO("advancing worker");
-};
-
 /// Wall-clock / scheduling observability for one run. NONE of it feeds a
-/// digest — steals, flush counts, and finish times all vary with thread
-/// timing by design; the digest-stable outputs live in the sessions'
-/// stats/ledgers, which are scheduling-independent.
+/// digest — steals and finish times vary with thread timing by design; the
+/// digest-stable outputs live in the sessions' stats/ledgers, which are
+/// scheduling-independent.
 struct SchedulerMetrics {
   std::int64_t slicesRun = 0;
   std::int64_t localPops = 0;       ///< Sessions taken from the home shard.
   std::int64_t steals = 0;          ///< Sessions taken from a sibling shard.
-  std::int64_t groupFlushes = 0;    ///< Closed-group backend flushes.
-  std::int64_t sessionFlushes = 0;  ///< Per-session (non-coalescing) flushes.
   /// Wall-clock ms from run() start to each session's retirement, indexed
   /// by session id. The straggler-tail metrics (p99 session lag) in
   /// bench_fleet_throughput derive from this.
@@ -124,18 +65,14 @@ struct SchedulerMetrics {
 class WorkStealingScheduler {
  public:
   struct Config {
-    Millis epoch{1000};      ///< Slice quantum (the lockstep epoch length).
+    Millis epoch{1000};      ///< Slice quantum.
     Millis duration{60'000}; ///< Simulated time every session covers.
     int workers = 1;         ///< Worker threads == run-queue shards.
   };
 
-  /// All references are borrowed and must outlive the scheduler. `inboxes`
-  /// is empty for synchronous backends (sessions detect inline), otherwise
-  /// one per session, already installed as each session's executor.
+  /// All references are borrowed and must outlive the scheduler.
   /// `statMerge` receives every session's totals at retirement.
   WorkStealingScheduler(std::vector<std::unique_ptr<DeviceSession>>& sessions,
-                        const std::vector<std::unique_ptr<SessionInbox>>& inboxes,
-                        core::DetectionExecutor& backend,
                         core::StatMergeShards& statMerge, Config config);
   WorkStealingScheduler(const WorkStealingScheduler&) = delete;
   WorkStealingScheduler& operator=(const WorkStealingScheduler&) = delete;
@@ -150,11 +87,10 @@ class WorkStealingScheduler {
  private:
   /// One resumable session task. Fields are owned by whichever worker is
   /// currently running or retiring the session (hand-offs go through the
-  /// shard queues and the control lock, whose acquire/release pairs are the
-  /// happens-before edges), or read under control_ for a parked waiter.
+  /// shard queues, whose lock acquire/release pairs are the happens-before
+  /// edges).
   struct Task {
     DeviceSession* session = nullptr;
-    SessionInbox* inbox = nullptr;  ///< Null for synchronous backends.
     /// Next slice to run; slice j advances to target(j).
     int cursor CONFINED_TO("owning worker") = 1;
   };
@@ -167,19 +103,6 @@ class WorkStealingScheduler {
     /// most-behind session (the home pop), rbegin() the furthest-ahead
     /// (what a thief takes, leaving the urgent work local).
     std::set<std::pair<std::int64_t, int>> queue GUARDED_BY(mutex);
-  };
-
-  /// A closed-over epoch group: slice-j submissions awaiting group flush.
-  struct Group {
-    std::vector<core::DetectionRequest> requests;
-    std::vector<int> waiters;  ///< Sessions parked until this group flushes.
-  };
-
-  /// A group claimed for flushing (moved out under control_).
-  struct ClaimedGroup {
-    int index = -1;
-    std::vector<core::DetectionRequest> requests;
-    std::vector<int> waiters;
   };
 
   struct WorkerStats {
@@ -202,53 +125,23 @@ class WorkStealingScheduler {
   /// Blocks until work may exist. False when the fleet has fully retired.
   [[nodiscard]] bool idleWait();
 
-  /// Runs one slice of one session and files the outcome (block on a
-  /// group, re-enqueue, or retire).
-  void runSlice(int id, WorkerStats& ws);
+  /// Runs one slice of one session, then re-enqueues or retires it.
+  void runSlice(int id);
   void retire(int id);
 
-  /// Claims the lowest pending group if no live cursor can still add to it
-  /// (and no flush is already running); flushes and releases its waiters.
-  [[nodiscard]] ClaimedGroup claimClosableGroup();
-  void drainClosableGroups();
-  [[nodiscard]] bool closableGroupPendingLocked() const REQUIRES(control_);
-
   void enqueueLocked(int id) REQUIRES(control_);
-  void incCursorLocked(int cursor) REQUIRES(control_);
-  void decCursorLocked(int cursor) REQUIRES(control_);
 
-  std::vector<std::unique_ptr<DeviceSession>>* sessions_;
-  core::DetectionExecutor* backend_;
   core::StatMergeShards* statMerge_;
   Config config_;
-  bool coalescing_ = false;
 
   std::vector<Task> tasks_;  ///< Fixed after construction; index = id.
   std::vector<std::unique_ptr<Shard>> shards_;  ///< Fixed; one per worker.
 
-  /// Global scheduler state: cursor census, pending groups, liveness.
+  /// Global scheduler state: liveness and the idle protocol.
   mutable util::RankedMutex control_{util::LockRank::kFleetControl,
                                      "fleet.WorkStealingScheduler.control"};
   util::RankedConditionVariable idleCv_;
-  /// cursor value -> live sessions currently AT that cursor (blocked
-  /// sessions included — they re-run their cursor's slice after release,
-  /// so they hold their next group open). Sessions leave at retirement.
-  /// begin() is the fleet-wide minimum: group g may flush iff min > g.
-  /// Maintained only for coalescing backends.
-  std::map<int, int> cursorCounts_ GUARDED_BY(control_);
-  /// group index -> submissions + parked sessions, created on first
-  /// submission. begin() is the next group eligible to close.
-  std::map<int, Group> groups_ GUARDED_BY(control_);
   int active_ GUARDED_BY(control_) = 0;  ///< Sessions not yet retired.
-  bool flushInProgress_ GUARDED_BY(control_) = false;
-  std::int64_t groupFlushes_ GUARDED_BY(control_) = 0;
-
-  /// Serializes backend flush epochs: held across "replay requests into
-  /// the backend + backend->flush()", so each flush sees exactly one
-  /// group's (or one session's) request set.
-  util::RankedMutex flushMutex_{util::LockRank::kFleetFlush,
-                                "fleet.WorkStealingScheduler.flush"};
-  std::int64_t sessionFlushes_ GUARDED_BY(flushMutex_) = 0;
 
   /// Fast runnable signal for idle workers: queue inserts increment,
   /// pops decrement. A stale read only costs one extra probe loop.

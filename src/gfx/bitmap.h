@@ -7,7 +7,7 @@
 // genuinely present in the input rather than faked through metadata.
 //
 // Storage is a refcounted pixel slab so a frame captured once can be shared
-// zero-copy across the analysis pipeline, the detection executors, and the
+// zero-copy across the analysis pipeline, the detection executor, and the
 // fleet (core/screen_frame.h), and so slabs can be recycled through a
 // FramePool (gfx/frame_pool.h) instead of re-allocated per capture. Because
 // a stray `Bitmap b = other;` used to silently deep-copy ~1 MB of pixels,

@@ -318,14 +318,28 @@ std::optional<Mlp> Mlp::load(std::istream& in) {
     if (!readPod(in, s) || s <= 0 || s > 1 << 20) return std::nullopt;
     sizes.push_back(s);
   }
+  // Bound the allocation by the header alone: every factor is <= 2^20, so
+  // each layer's product fits in 64 bits, and the running total is checked
+  // against the cap after every layer.
+  std::int64_t parameters = 0;
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+    parameters += static_cast<std::int64_t>(sizes[i]) * sizes[i + 1] +
+                  sizes[i + 1];
+    if (parameters > kMaxLoadParameters) return std::nullopt;
+  }
   Rng rng(0);  // weights are overwritten below
   Mlp model(sizes, rng);
+  const auto readFinite = [&in](std::vector<float>& values) {
+    in.read(reinterpret_cast<char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
+    return static_cast<bool>(in) &&
+           std::all_of(values.begin(), values.end(),
+                       [](float v) { return std::isfinite(v); });
+  };
   for (DenseLayer& layer : model.layers_) {
-    in.read(reinterpret_cast<char*>(layer.weights.data()),
-            static_cast<std::streamsize>(layer.weights.size() * sizeof(float)));
-    in.read(reinterpret_cast<char*>(layer.bias.data()),
-            static_cast<std::streamsize>(layer.bias.size() * sizeof(float)));
-    if (!in) return std::nullopt;
+    if (!readFinite(layer.weights) || !readFinite(layer.bias)) {
+      return std::nullopt;
+    }
   }
   return model;
 }

@@ -140,7 +140,15 @@ class Mlp {
   /// biases; optimizer state is not persisted). Lets benches cache trained
   /// models on disk instead of retraining per binary.
   void save(std::ostream& out) const;
+  /// Fails closed (std::nullopt) on a bad magic, an implausible shape, a
+  /// parameter total above kMaxLoadParameters — checked from the header
+  /// alone, before anything is allocated — a truncated payload, or a
+  /// non-finite weight or bias.
   [[nodiscard]] static std::optional<Mlp> load(std::istream& in);
+  /// Largest parameter total load() accepts. The shipped heads hold a few
+  /// thousand; the cap keeps a hostile 20-byte header from asking for
+  /// terabytes.
+  static constexpr std::int64_t kMaxLoadParameters = std::int64_t{1} << 22;
 
  private:
   std::vector<int> layerSizes_;

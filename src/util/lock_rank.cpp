@@ -11,12 +11,8 @@ const char* lockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kFleetControl:
       return "fleet-control";
-    case LockRank::kFleetFlush:
-      return "fleet-flush";
     case LockRank::kSessionQueue:
       return "session-queue";
-    case LockRank::kExecutorQueue:
-      return "executor-queue";
     case LockRank::kVerdictTier:
       return "verdict-tier";
     case LockRank::kStatMerge:

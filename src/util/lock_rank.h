@@ -1,12 +1,11 @@
 // Lock ranks — a global acquisition-order contract for every mutex in the
 // runtime, validated at runtime.
 //
-// The epoch-lockstep fleet holds at most one lock at a time today, so it
-// cannot deadlock. The ROADMAP's next refactors (work-stealing run queues,
-// sharded stat merging, a striped fleet-wide verdict cache) will nest
-// locks, and nested locking deadlocks silently the first time two threads
-// acquire the same pair in opposite orders. This module makes the ordering
-// a checked contract instead of a convention:
+// The fleet nests locks (the work-stealing scheduler's control lock over
+// its run-queue shards; frame-pool shard over spill), and nested locking
+// deadlocks silently the first time two threads acquire the same pair in
+// opposite orders. This module makes the ordering a checked contract
+// instead of a convention:
 //
 //  * LockRank is the global rank table. A thread may only acquire a mutex
 //    whose rank is STRICTLY GREATER than every rank it already holds —
@@ -45,31 +44,20 @@
 namespace darpa::util {
 
 /// The global lock-rank table, lowest rank acquired first. Gaps are
-/// deliberate: future lock tiers (per-shard run queues, verdict-cache
-/// stripes) slot between existing ranks without renumbering. DESIGN.md §12
-/// documents who holds what while acquiring what.
+/// deliberate: a new lock tier slots between existing ranks without
+/// renumbering. DESIGN.md §12 documents who holds what while acquiring
+/// what.
 enum class LockRank : int {
   /// Fleet-level orchestration: the work-stealing scheduler's global state
-  /// (cursor counts, pending flush groups, active-session count, idle cv).
-  /// The lockstep reference driver needs no lock.
+  /// (active-session count, idle cv).
   kFleetControl = 100,
-  /// Work-stealing group-flush serialization: held while a worker replays
-  /// a closed flush group into the shared detection backend and calls its
-  /// flush(). Below kExecutorQueue because the backend's queue lock is
-  /// taken inside submit()/flush() under this one.
-  kFleetFlush = 150,
   /// Per-shard session run queues (work-stealing scheduler). All shards
   /// share this rank, so a thread may never hold two shard locks at once —
   /// the steal protocol releases its own shard before probing a sibling.
   kSessionQueue = 200,
-  /// Deferred-executor parked-request queues (ThreadPoolExecutor /
-  /// BatchingExecutor submit/flush swap).
-  kExecutorQueue = 300,
   /// Fleet-wide shared verdict tier stripes (core::SharedVerdictTier).
   /// All shards share this rank (at most one shard lock held at a time;
-  /// nothing is called out to under it). Above kExecutorQueue/kFleetFlush
-  /// because pipeline completions probe/publish the tier while a
-  /// work-stealing flush may still hold those; below kStatMerge and the
+  /// nothing is called out to under it). Below kStatMerge and the
   /// frame-pool ranks so a tier operation can never be entangled with a
   /// retirement fold or a slab release.
   kVerdictTier = 400,
@@ -78,7 +66,7 @@ enum class LockRank : int {
   kStatMerge = 500,
   /// gfx::FramePool per-shard free lists. Near-leaf: slab release runs
   /// from arbitrary call depth (any last FramePtr drop, on any thread,
-  /// possibly while an executor or scheduler lock is held), so the pool
+  /// possibly while a scheduler or tier lock is held), so the pool
   /// locks must be acquirable under everything else. All shards share this
   /// rank; a thread holds at most one shard lock at a time.
   kFramePool = 600,

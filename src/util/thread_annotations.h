@@ -4,10 +4,10 @@
 // races in the interleavings the tests happen to run, and these
 // annotations let Clang's -Wthread-safety pass prove at COMPILE TIME that
 // every access to a mutex-protected structure holds the right lock — in
-// every interleaving, including the ones no test exercises. The ROADMAP's
-// next steps (work-stealing scheduler, fleet-wide shared verdict tier)
-// replace the epoch-lockstep barrier with fine-grained locking, which is
-// exactly where TSan-only checking stops being enough.
+// every interleaving, including the ones no test exercises. The
+// work-stealing scheduler and the fleet-wide shared verdict tier use
+// fine-grained locking, which is exactly where TSan-only checking stops
+// being enough.
 //
 // Usage conventions (see DESIGN.md §12):
 //  * Every mutex member is a util::RankedMutex (util/lock_rank.h) — a
@@ -19,9 +19,9 @@
 //  * Functions that assume the lock is already held carry REQUIRES(mutex_)
 //    (and are conventionally named ...Locked()).
 //  * Structures with NO mutex by design — session-confined state merged
-//    only at epoch barriers — mark their members CONFINED_TO("owner") so
-//    the confinement rule is greppable where the data lives, not only in a
-//    header comment.
+//    only once its session is quiescent — mark their members
+//    CONFINED_TO("owner") so the confinement rule is greppable where the
+//    data lives, not only in a header comment.
 //
 // All macros expand to nothing on non-Clang compilers (the container's GCC
 // lane compiles them away); the dedicated CI lane builds with clang++ and
@@ -85,7 +85,7 @@
 
 /// Documentation-only marker (expands to nothing on every compiler) for
 /// state that is protected by OWNERSHIP rather than a lock: session-confined
-/// counters merged at epoch barriers (WorkLedger, DarpaStats), the Looper's
-/// single-threaded queues, flush-confined executor statistics. The string
-/// names the confining owner / phase. Greppable contract, zero codegen.
+/// counters merged at retirement (WorkLedger, DarpaStats), the Looper's
+/// single-threaded queues. The string names the confining owner / phase.
+/// Greppable contract, zero codegen.
 #define CONFINED_TO(owner)

@@ -617,18 +617,6 @@ TEST(OneStageTest, BatchedHeadBitEqualsScalarDetect) {
     expectDetectionsEq(batched.detect(images[i]), scalar->detect(images[i]),
                        "image " + std::to_string(i));
   }
-
-  // detectBatch must equal per-image detect regardless of pack composition.
-  std::vector<const gfx::Bitmap*> ptrs;
-  ptrs.reserve(images.size());
-  for (const gfx::Bitmap& img : images) ptrs.push_back(&img);
-  const std::vector<std::vector<Detection>> batchResults =
-      batched.detectBatch(ptrs);
-  ASSERT_EQ(batchResults.size(), images.size());
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    expectDetectionsEq(batchResults[i], batched.detect(images[i]),
-                       "batch image " + std::to_string(i));
-  }
 }
 
 TEST(TwoStageTest, ModelNames) {

@@ -1,8 +1,8 @@
 // Work-stealing scheduler tests: the hard contract is that the barrier-free
 // driver's merged paper digests (fig8 counts, Table III stats, ledger
-// totals, Table VII metrics) are BYTE-identical to the lockstep reference
-// driver — across worker counts, backend kinds, pooling on/off, reruns, and
-// a deliberately skewed workload that forces steals. Plus the fleet's
+// totals, Table VII metrics) are BYTE-identical to the epoch-barrier oracle
+// (fleet_oracle.h) — across worker counts, pooling on/off, reruns, and a
+// deliberately skewed workload that forces steals. Plus the fleet's
 // single-use / bounds guards and the sharded live stat-merge.
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "core/detection_executor.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
+#include "fleet_oracle.h"
 #include "perf/device_model.h"
 
 namespace darpa::fleet {
@@ -72,114 +72,60 @@ std::string digestOf(const FleetSnapshot& snap) {
   return buf;
 }
 
-enum class Backend { kBatching, kThreadPool, kInline };
-
 struct RunOutcome {
   std::string digest;
-  SchedulerMetrics scheduler;  ///< Zeroed under the lockstep driver.
-  bool hadScheduler = false;
+  SchedulerMetrics scheduler;
 };
 
-RunOutcome runFleet(
-    FleetDriver driver, Backend backend, int sessions, int workers,
-    bool pooled,
-    const std::function<void(int, DeviceSession::Config&)>& tweak = nullptr) {
-  StubDetector detector;
-  std::unique_ptr<core::DetectionExecutor> owned;
-  switch (backend) {
-    case Backend::kBatching:
-      owned = std::make_unique<BatchingExecutor>(
-          BatchingExecutor::Options{.maxBatchSize = 16, .threads = 4});
-      break;
-    case Backend::kThreadPool:
-      owned = std::make_unique<ThreadPoolExecutor>(4);
-      break;
-    case Backend::kInline:
-      owned = std::make_unique<core::InlineExecutor>();
-      break;
-  }
-
+FleetConfig testConfig(
+    int sessions, int workers, bool pooled,
+    const std::function<void(int, DeviceSession::Config&)>& tweak) {
   FleetConfig config;
   config.sessions = sessions;
   config.workers = workers;
   config.epoch = ms(500);
   config.duration = ms(3000);
-  config.driver = driver;
   config.pooledFrames = pooled;
   config.sessionTweak = tweak;
+  return config;
+}
 
-  Fleet fleet(detector, *owned, config);
+/// Fleet::run() on the work-stealing scheduler.
+RunOutcome runFleet(
+    int sessions, int workers, bool pooled,
+    const std::function<void(int, DeviceSession::Config&)>& tweak = nullptr) {
+  StubDetector detector;
+  core::InlineExecutor executor;
+  Fleet fleet(detector, executor,
+              testConfig(sessions, workers, pooled, tweak));
   fleet.run();
-  EXPECT_EQ(owned->pendingCount(), 0u)
-      << "a finished run must leave no parked requests";
-
-  RunOutcome out;
-  out.digest = digestOf(fleet.snapshot());
-  if (const SchedulerMetrics* metrics = fleet.schedulerMetrics()) {
-    out.scheduler = *metrics;
-    out.hadScheduler = true;
-  }
-  return out;
+  return {digestOf(fleet.snapshot()), *fleet.schedulerMetrics()};
 }
 
-// ------------------------------------------- cross-driver byte equality
-
-TEST(FleetSchedulerTest, BatchedDigestsMatchLockstepAcrossWorkersAndPooling) {
-  const RunOutcome reference =
-      runFleet(FleetDriver::kLockstep, Backend::kBatching, 64, 1, true);
-  ASSERT_FALSE(reference.digest.empty());
-  EXPECT_FALSE(reference.hadScheduler);
-
-  const RunOutcome wsSerial =
-      runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 1, true);
-  EXPECT_TRUE(wsSerial.hadScheduler);
-  EXPECT_EQ(wsSerial.digest, reference.digest);
-
-  const RunOutcome wsFour =
-      runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 4, true);
-  EXPECT_EQ(wsFour.digest, reference.digest);
-
-  // Rerun at W=4: steal interleavings differ, the digest must not.
-  const RunOutcome wsRepeat =
-      runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 4, true);
-  EXPECT_EQ(wsRepeat.digest, reference.digest);
-
-  // Pooling off, both drivers: the pool only moves where bytes live.
-  EXPECT_EQ(
-      runFleet(FleetDriver::kLockstep, Backend::kBatching, 64, 4, false).digest,
-      reference.digest);
-  EXPECT_EQ(runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 4,
-                     false)
-                .digest,
-            reference.digest);
+/// The same fleet driven by the epoch-barrier oracle.
+std::string runOracle(
+    int sessions, bool pooled,
+    const std::function<void(int, DeviceSession::Config&)>& tweak = nullptr) {
+  StubDetector detector;
+  core::InlineExecutor executor;
+  Fleet fleet(detector, executor, testConfig(sessions, 1, pooled, tweak));
+  return digestOf(runEpochBarrierOracle(fleet));
 }
 
-TEST(FleetSchedulerTest, ThreadPoolDigestsMatchLockstep) {
-  const RunOutcome reference =
-      runFleet(FleetDriver::kLockstep, Backend::kThreadPool, 16, 1, true);
-  EXPECT_EQ(
-      runFleet(FleetDriver::kWorkStealing, Backend::kThreadPool, 16, 1, true)
-          .digest,
-      reference.digest);
-  const RunOutcome wsFour =
-      runFleet(FleetDriver::kWorkStealing, Backend::kThreadPool, 16, 4, true);
-  EXPECT_EQ(wsFour.digest, reference.digest);
-  // Non-coalescing backends flush per session, never per group.
-  ASSERT_TRUE(wsFour.hadScheduler);
-  EXPECT_EQ(wsFour.scheduler.groupFlushes, 0);
-  EXPECT_GT(wsFour.scheduler.sessionFlushes, 0);
-}
+// ------------------------------------------- oracle byte equality
 
 TEST(FleetSchedulerTest, InlineDigestsMatchLockstep) {
-  const RunOutcome reference =
-      runFleet(FleetDriver::kLockstep, Backend::kInline, 8, 1, true);
-  const RunOutcome ws =
-      runFleet(FleetDriver::kWorkStealing, Backend::kInline, 8, 4, true);
-  EXPECT_EQ(ws.digest, reference.digest);
-  // Synchronous backend: no inboxes, nothing parked, no flushes at all.
-  ASSERT_TRUE(ws.hadScheduler);
-  EXPECT_EQ(ws.scheduler.groupFlushes, 0);
-  EXPECT_EQ(ws.scheduler.sessionFlushes, 0);
+  const std::string reference = runOracle(64, true);
+  ASSERT_FALSE(reference.empty());
+
+  EXPECT_EQ(runFleet(64, 1, true).digest, reference);
+  EXPECT_EQ(runFleet(64, 4, true).digest, reference);
+  // Rerun at W=4: steal interleavings differ, the digest must not.
+  EXPECT_EQ(runFleet(64, 4, true).digest, reference);
+
+  // Pooling off, both drivers: the pool only moves where bytes live.
+  EXPECT_EQ(runOracle(64, false), reference);
+  EXPECT_EQ(runFleet(64, 4, false).digest, reference);
 }
 
 // --------------------------------------------------- steal-heavy skew
@@ -194,29 +140,20 @@ TEST(FleetSchedulerTest, SkewedWorkloadStealsAndMatchesLockstep) {
       config.monkeyMaxGapMs = 25;
     }
   };
-  const RunOutcome reference = runFleet(FleetDriver::kLockstep,
-                                        Backend::kBatching, 16, 1, true,
-                                        straggler);
-  const RunOutcome ws = runFleet(FleetDriver::kWorkStealing,
-                                 Backend::kBatching, 16, 4, true, straggler);
-  EXPECT_EQ(ws.digest, reference.digest)
+  const std::string reference = runOracle(16, true, straggler);
+  const RunOutcome ws = runFleet(16, 4, true, straggler);
+  EXPECT_EQ(ws.digest, reference)
       << "steal interleavings must never reach the digest";
-  ASSERT_TRUE(ws.hadScheduler);
   EXPECT_GT(ws.scheduler.steals, 0)
       << "a pinned home worker should have its queue drained by siblings";
-  EXPECT_GT(ws.scheduler.groupFlushes, 0);
 }
 
 // ------------------------------------------------- sharded live merge
 
 TEST(FleetSchedulerTest, SnapshotLiveMergeMatchesManualSessionScan) {
   StubDetector detector;
-  BatchingExecutor executor({.maxBatchSize = 16, .threads = 4});
-  FleetConfig config;
-  config.sessions = 16;
-  config.workers = 4;
-  config.epoch = ms(500);
-  config.duration = ms(3000);
+  core::InlineExecutor executor;
+  const FleetConfig config = testConfig(16, 4, true, nullptr);
   Fleet fleet(detector, executor, config);
   fleet.run();
 
@@ -256,7 +193,6 @@ TEST(FleetSchedulerTest, SnapshotLiveMergeMatchesManualSessionScan) {
   EXPECT_GE(metrics->slicesRun, static_cast<std::int64_t>(config.sessions));
   EXPECT_EQ(metrics->localPops + metrics->steals, metrics->slicesRun)
       << "every slice was popped from exactly one queue";
-  EXPECT_GT(metrics->groupFlushes, 0);
   ASSERT_EQ(metrics->finishWallMs.size(),
             static_cast<std::size_t>(config.sessions));
   for (const double msToFinish : metrics->finishWallMs) {

@@ -1,10 +1,10 @@
-// Fleet-scale tests: the detection executor backends (canonical completion
-// order, looper routing, batch composition), fleet-of-1 equivalence with the
-// hand-wired harness, epoch-lockstep determinism across worker counts, and
-// the Looper's lazy-deletion GC bounds.
+// Fleet-scale tests: the inline detection executor, fleet-of-1 equivalence
+// with the hand-wired harness, fleet determinism across worker counts and
+// reruns, and the Looper's lazy-deletion GC bounds.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -14,7 +14,6 @@
 #include "core/darpa_service.h"
 #include "core/detection_executor.h"
 #include "fleet/device_session.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 
 namespace darpa::fleet {
@@ -36,129 +35,23 @@ class StubDetector : public cv::Detector {
   mutable std::atomic<std::int64_t> calls_{0};
 };
 
-core::DetectionRequest makeRequest(
-    const cv::Detector& detector, int sessionId, std::uint64_t seq,
-    android::Looper* replyLooper,
-    std::vector<std::pair<int, int>>* order,
-    std::vector<int>* batchSizes = nullptr) {
-  core::DetectionRequest request;
-  auto frame = std::make_shared<core::ScreenFrame>(android::UiDump{}, "test");
-  frame->attachPixels(gfx::Bitmap(4, 4));
-  request.frame = std::move(frame);
-  request.detector = &detector;
-  request.replyLooper = replyLooper;
-  request.sessionId = sessionId;
-  request.seq = seq;
-  request.onComplete = [=](std::vector<cv::Detection>, int batchSize,
-                           const core::DetectionTiming&) {
-    order->push_back({sessionId, static_cast<int>(seq)});
-    if (batchSizes != nullptr) batchSizes->push_back(batchSize);
-  };
-  return request;
-}
-
 // ------------------------------------------------------------- executors
-
-TEST(ExecutorTest, ThreadPoolPostsToOwningLooperInCanonicalOrder) {
-  StubDetector detector;
-  ThreadPoolExecutor pool(4);
-  EXPECT_FALSE(pool.synchronous());
-
-  SimClock clockA;
-  android::Looper looperA(clockA);
-  SimClock clockB;
-  android::Looper looperB(clockB);
-
-  // Submit in scrambled order: canonical (sessionId, seq) order must be
-  // restored at flush regardless.
-  std::vector<std::pair<int, int>> order;
-  pool.submit(makeRequest(detector, 1, 1, &looperB, &order));
-  pool.submit(makeRequest(detector, 0, 1, &looperA, &order));
-  pool.submit(makeRequest(detector, 1, 0, &looperB, &order));
-  pool.submit(makeRequest(detector, 0, 0, &looperA, &order));
-  EXPECT_EQ(pool.pendingCount(), 4u);
-
-  pool.flush();
-  EXPECT_EQ(pool.pendingCount(), 0u);
-  EXPECT_EQ(pool.completed(), 4);
-  // Completions were posted to the sessions' loopers, not run yet.
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(looperA.pendingCount(), 2u);
-  EXPECT_EQ(looperB.pendingCount(), 2u);
-
-  looperA.runUntilIdle();
-  looperB.runUntilIdle();
-  const std::vector<std::pair<int, int>> expected = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}};
-  EXPECT_EQ(order, expected);
-  EXPECT_EQ(detector.calls(), 4);
-}
-
-TEST(ExecutorTest, BatchingCoalescesUpToMaxBatchSize) {
-  StubDetector detector;
-  BatchingExecutor executor({.maxBatchSize = 2, .threads = 1});
-
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> batchSizes;
-  for (int seq = 4; seq >= 0; --seq) {  // reverse submit order
-    executor.submit(makeRequest(detector, 0, static_cast<std::uint64_t>(seq),
-                                nullptr, &order, &batchSizes));
-  }
-  EXPECT_EQ(executor.pendingCount(), 5u);
-
-  executor.flush();
-  EXPECT_EQ(executor.pendingCount(), 0u);
-  // Canonical order 0..4, chunked as [2, 2, 1].
-  const std::vector<std::pair<int, int>> expected = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}};
-  EXPECT_EQ(order, expected);
-  const std::vector<int> expectedSizes = {2, 2, 2, 2, 1};
-  EXPECT_EQ(batchSizes, expectedSizes);
-  EXPECT_EQ(executor.batchesDispatched(), 3);
-  EXPECT_EQ(executor.imagesBatched(), 5);
-  EXPECT_EQ(executor.largestBatch(), 2);
-  EXPECT_NEAR(executor.meanBatchSize(), 5.0 / 3.0, 1e-12);
-
-  // flush() with nothing parked is a no-op.
-  executor.flush();
-  EXPECT_EQ(executor.batchesDispatched(), 3);
-}
-
-TEST(ExecutorTest, BatchingCutsBatchesAtDetectorBoundaries) {
-  StubDetector detectorA;
-  StubDetector detectorB;
-  BatchingExecutor executor({.maxBatchSize = 64, .threads = 2});
-
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> batchSizes;
-  executor.submit(makeRequest(detectorA, 0, 0, nullptr, &order, &batchSizes));
-  executor.submit(makeRequest(detectorA, 0, 1, nullptr, &order, &batchSizes));
-  executor.submit(makeRequest(detectorB, 1, 0, nullptr, &order, &batchSizes));
-  executor.submit(makeRequest(detectorB, 1, 1, nullptr, &order, &batchSizes));
-  executor.flush();
-
-  EXPECT_EQ(executor.batchesDispatched(), 2);
-  EXPECT_EQ(executor.largestBatch(), 2);
-  EXPECT_EQ(detectorA.calls(), 2);
-  EXPECT_EQ(detectorB.calls(), 2);
-  const std::vector<std::pair<int, int>> expected = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}};
-  EXPECT_EQ(order, expected);
-}
 
 TEST(ExecutorTest, InlineExecutorCompletesSynchronously) {
   StubDetector detector;
   core::InlineExecutor inline_;
-  EXPECT_TRUE(inline_.synchronous());
+  auto frame = std::make_shared<core::ScreenFrame>(android::UiDump{}, "test");
+  frame->attachPixels(gfx::Bitmap(4, 4));
+  std::weak_ptr<const core::ScreenFrame> watch = frame;
 
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> batchSizes;
-  inline_.submit(makeRequest(detector, 7, 3, nullptr, &order, &batchSizes));
-  const std::vector<std::pair<int, int>> expected = {{7, 3}};
-  EXPECT_EQ(order, expected);
-  const std::vector<int> expectedSizes = {1};
-  EXPECT_EQ(batchSizes, expectedSizes);
-  EXPECT_EQ(inline_.pendingCount(), 0u);
+  const std::vector<cv::Detection> detections =
+      inline_.detect(detector, std::move(frame));
+  ASSERT_EQ(detections.size(), 1u);
+  EXPECT_EQ(detections[0].label, dataset::BoxLabel::kUpo);
+  EXPECT_EQ(detector.calls(), 1);
+  // The executor held the last reference and dropped it after the model
+  // ran: the frame is gone (scrubbed) by the time detect() returns.
+  EXPECT_TRUE(watch.expired());
 }
 
 // ------------------------------------------------- fleet-of-1 equivalence
@@ -217,7 +110,7 @@ TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
   EXPECT_GT(device.stats().analysesRun, 0);
 }
 
-// --------------------------------------------------- epoch determinism
+// --------------------------------------------------- fleet determinism
 
 struct FleetFingerprint {
   core::DarpaStats stats;
@@ -239,9 +132,9 @@ void expectFingerprintEq(const FleetFingerprint& a, const FleetFingerprint& b) {
   EXPECT_EQ(a.auisCovered, b.auisCovered);
 }
 
-FleetFingerprint runBatchedFleet(int sessions, int workers) {
+FleetFingerprint runFleet(int sessions, int workers) {
   StubDetector detector;
-  BatchingExecutor executor({.maxBatchSize = 16, .threads = 4});
+  core::InlineExecutor executor;
   FleetConfig config;
   config.sessions = sessions;
   config.workers = workers;
@@ -249,13 +142,6 @@ FleetFingerprint runBatchedFleet(int sessions, int workers) {
   config.duration = ms(3000);
   Fleet fleet(detector, executor, config);
   fleet.run();
-  EXPECT_EQ(executor.pendingCount(), 0u)
-      << "epoch drain must leave no parked requests";
-  EXPECT_GT(executor.imagesBatched(), 0);
-  if (sessions >= 16) {
-    EXPECT_GE(executor.largestBatch(), 2)
-        << "a whole-fleet epoch should coalesce screenshots";
-  }
   const FleetSnapshot snap = fleet.snapshot();
   EXPECT_EQ(snap.sessions, sessions);
   EXPECT_EQ(snap.simTime, ms(3000));
@@ -269,39 +155,12 @@ FleetFingerprint runBatchedFleet(int sessions, int workers) {
 }
 
 TEST(FleetTest, SixtyFourSessionsDeterministicAcrossWorkersAndRuns) {
-  const FleetFingerprint serial = runBatchedFleet(64, 1);
-  const FleetFingerprint fourWorkers = runBatchedFleet(64, 4);
-  const FleetFingerprint repeat = runBatchedFleet(64, 4);
+  const FleetFingerprint serial = runFleet(64, 1);
+  const FleetFingerprint fourWorkers = runFleet(64, 4);
+  const FleetFingerprint repeat = runFleet(64, 4);
   EXPECT_GT(serial.analyses, 0);
   expectFingerprintEq(serial, fourWorkers);
   expectFingerprintEq(fourWorkers, repeat);
-}
-
-TEST(FleetTest, ThreadPoolFleetMatchesSerialShards) {
-  auto runPoolFleet = [](int workers) {
-    StubDetector detector;
-    ThreadPoolExecutor executor(4);
-    FleetConfig config;
-    config.sessions = 8;
-    config.workers = workers;
-    config.epoch = ms(500);
-    config.duration = ms(3000);
-    Fleet fleet(detector, executor, config);
-    fleet.run();
-    EXPECT_EQ(executor.pendingCount(), 0u);
-    const FleetSnapshot snap = fleet.snapshot();
-    return FleetFingerprint{snap.stats,
-                            snap.ledger.analyses(),
-                            snap.ledger.tally(core::Stage::kDetect).runs,
-                            snap.ledger.totalCpuMs(),
-                            snap.eventsEmitted,
-                            snap.auiExposures,
-                            snap.auisCovered};
-  };
-  const FleetFingerprint serial = runPoolFleet(1);
-  const FleetFingerprint sharded = runPoolFleet(4);
-  EXPECT_GT(serial.analyses, 0);
-  expectFingerprintEq(serial, sharded);
 }
 
 TEST(FleetTest, InlineFleetMatchesIndependentDeviceSessions) {

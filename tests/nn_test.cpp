@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "nn/kernels/int8_kernels.h"
 #include "nn/losses.h"
@@ -139,6 +145,66 @@ TEST(MlpTest, ClearGradientsZeroesAccumulators) {
     for (float g : layer.gradWeights) EXPECT_EQ(g, 0.0f);
     for (float g : layer.gradBias) EXPECT_EQ(g, 0.0f);
   }
+}
+
+// ------------------------------------------------ model-file loading
+
+/// A saved {3, 4, 2} model as raw bytes.
+std::string savedModelBytes() {
+  Rng rng(5);
+  const Mlp mlp({3, 4, 2}, rng);
+  std::ostringstream out;
+  mlp.save(out);
+  return out.str();
+}
+
+std::optional<Mlp> loadBytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return Mlp::load(in);
+}
+
+/// Overwrites the float at byte `offset` of a serialized model.
+void patchFloat(std::string& bytes, std::size_t offset, float value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+TEST(MlpLoadTest, OversizedHeaderFailsClosed) {
+  // Magic, two layers, each 2^20 wide: accepting this header would mean
+  // allocating 2^40 floats before reading a single weight.
+  std::string header(16, '\0');
+  const std::uint32_t magic = 0x44415250;
+  const std::uint32_t layers = 2;
+  const std::int32_t width = 1 << 20;
+  std::memcpy(header.data(), &magic, 4);
+  std::memcpy(header.data() + 4, &layers, 4);
+  std::memcpy(header.data() + 8, &width, 4);
+  std::memcpy(header.data() + 12, &width, 4);
+  EXPECT_FALSE(loadBytes(header).has_value());
+  header.append(4, '\0');  // a few payload bytes change nothing
+  EXPECT_FALSE(loadBytes(header).has_value());
+}
+
+TEST(MlpLoadTest, TruncatedPayloadFailsClosed) {
+  const std::string bytes = savedModelBytes();
+  for (const std::size_t keep : {std::size_t{8}, std::size_t{20},
+                                 bytes.size() / 2, bytes.size() - 1}) {
+    EXPECT_FALSE(loadBytes(bytes.substr(0, keep)).has_value())
+        << "kept " << keep << " of " << bytes.size() << " bytes";
+  }
+}
+
+TEST(MlpLoadTest, NonFiniteWeightOrBiasFailsClosed) {
+  // Header: magic + layer count + three sizes = 20 bytes; the first weight
+  // follows it, and the last float of the file is the output layer's last
+  // bias.
+  const std::string bytes = savedModelBytes();
+  std::string nanWeight = bytes;
+  patchFloat(nanWeight, 20, std::nanf(""));
+  EXPECT_FALSE(loadBytes(nanWeight).has_value());
+  std::string infBias = bytes;
+  patchFloat(infBias, bytes.size() - sizeof(float),
+             std::numeric_limits<float>::infinity());
+  EXPECT_FALSE(loadBytes(infBias).has_value());
 }
 
 TEST(QuantizeTest, QuantizedCloselyTracksFloatModel) {

@@ -3,13 +3,13 @@
 // suite), and the tier refactor's two fleet-level contracts:
 //
 //  1. Tier DISABLED (the default): 64-session fleet digests stay
-//     byte-identical across drivers and worker counts — the tier's mere
-//     existence changes nothing.
+//     byte-identical to the epoch-barrier oracle across worker counts and
+//     reruns — the tier's mere existence changes nothing.
 //  2. Tier ENABLED over a shared app population: every session still
 //     reaches the same per-session verdicts (same analyses, same AUIs
-//     flagged), but the fleet runs strictly fewer model detects — the L2
-//     hits and the single-flight coalescing moved who pays, never what is
-//     decided.
+//     flagged) at any worker count. At W=1, where the order is
+//     deterministic, the fleet also runs strictly fewer model detects —
+//     the L2 hits moved who pays, never what is decided.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "core/verdict_tier.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
+#include "fleet_oracle.h"
 #include "perf/device_model.h"
 #include "util/rng.h"
 
@@ -97,8 +97,6 @@ TEST(SharedVerdictTierTest, ShardsResolveAndClearDropsEverything) {
   tier.clear();
   EXPECT_EQ(tier.stats().entries, 0);
   EXPECT_FALSE(tier.find(1).has_value());
-  tier.noteSuppressedDetect();
-  EXPECT_EQ(tier.stats().suppressedDetects, 1);
 }
 
 // --------------------------------------------------- concurrency hammer
@@ -227,9 +225,8 @@ std::string digestOf(const FleetSnapshot& snap) {
 /// nothing across sessions). Monkey seeds stay per-session (the fleet's
 /// own draw): the screen sequence is a pure function of (profile,
 /// appSeed), so sessions of one app see identical screens but analyze
-/// them at skewed instants — some in the same flush epoch (single-flight
-/// coalescing) and some a later epoch (a real L2 hit on a verdict another
-/// session already published).
+/// them at skewed instants — a later analysis of a screen is a real L2
+/// hit on a verdict another session already published.
 std::function<void(int, DeviceSession::Config&)> sharedPopulation(int apps) {
   struct App {
     apps::AppProfile profile;
@@ -241,11 +238,10 @@ std::function<void(int, DeviceSession::Config&)> sharedPopulation(int apps) {
     App app{apps::randomAppProfile("com.shared.app" + std::to_string(a), rng),
             rng.next()};
     // Aggressive AUI churn on a stable base screen: every popup cycle
-    // re-exposes the base fingerprint in a LATER epoch than its first
-    // analysis — the screen-recurrence pattern an L2 exists for. (Fresh
-    // benign screens never repeat, so without churn every probe would
-    // land before the fingerprint's first publish and the tier could
-    // only ever coalesce, never serve.)
+    // re-exposes the base fingerprint LATER than its first analysis —
+    // the screen-recurrence pattern an L2 exists for. (Fresh benign
+    // screens never repeat, so without churn the tier would have little
+    // to serve.)
     app.profile.screenChangeMeanMs = 6000;
     app.profile.auisPerMinute = 40.0;
     app.profile.auiMinVisibleMs = 600;
@@ -268,29 +264,25 @@ struct TierRun {
   core::SharedVerdictTier::Stats tier;
 };
 
-TierRun runSharedFleet(FleetDriver driver, int workers, bool tierEnabled) {
-  ParityDetector detector;
-  BatchingExecutor executor({.maxBatchSize = 16, .threads = 4});
-
+FleetConfig sharedConfig(int workers, bool tierEnabled) {
   FleetConfig config;
   config.sessions = 64;
   config.workers = workers;
   config.epoch = ms(500);
   config.duration = ms(3000);
-  config.driver = driver;
   config.sessionTweak = sharedPopulation(/*apps=*/8);
   config.sharedVerdictTier = tierEnabled;
   // A deliberately thrashing L1 (capacity 1, same in the reference run):
-  // screens an epoch evicted re-probe below it, so the run exercises real
+  // evicted screens re-probe below it, so the run exercises real
   // L1-miss -> L2-hit -> promote traffic, not just publishes.
   config.darpa.verdictCacheCapacity = 1;
+  return config;
+}
 
-  Fleet fleet(detector, executor, config);
-  fleet.run();
-  EXPECT_EQ(executor.pendingCount(), 0u);
-
+TierRun collect(const Fleet& fleet, const FleetSnapshot& snap,
+                const ParityDetector& detector) {
   TierRun run;
-  run.digest = digestOf(fleet.snapshot());
+  run.digest = digestOf(snap);
   for (int i = 0; i < fleet.sessionCount(); ++i) {
     const DeviceSession& session = fleet.session(i);
     run.analysesBySession.push_back(session.stats().analysesRun);
@@ -298,66 +290,65 @@ TierRun runSharedFleet(FleetDriver driver, int workers, bool tierEnabled) {
     run.eventsBySession.push_back(session.eventsEmitted());
   }
   run.detectorCalls = detector.calls();
-  run.tier = fleet.snapshot().verdictTier;
+  run.tier = snap.verdictTier;
   return run;
 }
 
+/// Fleet::run() on the work-stealing scheduler.
+TierRun runSharedFleet(int workers, bool tierEnabled) {
+  ParityDetector detector;
+  core::InlineExecutor executor;
+  Fleet fleet(detector, executor, sharedConfig(workers, tierEnabled));
+  fleet.run();
+  return collect(fleet, fleet.snapshot(), detector);
+}
+
+/// The tier-off reference: the same fleet under the epoch-barrier oracle.
+TierRun runSharedOracle() {
+  ParityDetector detector;
+  core::InlineExecutor executor;
+  Fleet fleet(detector, executor, sharedConfig(1, false));
+  const FleetSnapshot snap = runEpochBarrierOracle(fleet);
+  return collect(fleet, snap, detector);
+}
+
 // Contract 1: with the tier DISABLED the refactor is invisible — digests
-// byte-identical across drivers and worker counts (and, by the unchanged
-// code paths, to the pre-tier seed).
+// byte-identical to the oracle across worker counts and reruns (and, by
+// the unchanged code paths, to the pre-tier seed).
 TEST(SharedVerdictTierTest, TierDisabledDigestsByteIdenticalAcrossDrivers) {
-  const TierRun reference =
-      runSharedFleet(FleetDriver::kLockstep, /*workers=*/1, false);
+  const TierRun reference = runSharedOracle();
   ASSERT_FALSE(reference.digest.empty());
   EXPECT_EQ(reference.tier.publishes, 0);  // no tier, no tier traffic
 
-  EXPECT_EQ(runSharedFleet(FleetDriver::kLockstep, 4, false).digest,
-            reference.digest);
-  EXPECT_EQ(runSharedFleet(FleetDriver::kWorkStealing, 1, false).digest,
-            reference.digest);
-  EXPECT_EQ(runSharedFleet(FleetDriver::kWorkStealing, 4, false).digest,
-            reference.digest);
+  EXPECT_EQ(runSharedFleet(1, false).digest, reference.digest);
+  EXPECT_EQ(runSharedFleet(4, false).digest, reference.digest);
+  EXPECT_EQ(runSharedFleet(4, false).digest, reference.digest);
 }
 
 // Contract 2: with the tier ENABLED every session reaches the same
 // per-session verdicts over the same event streams — only who paid for
-// them moved: the fleet runs strictly fewer model detects, the tier
-// serves real hits, and the batching backend's single-flight suppresses
-// duplicate in-flush detects.
+// them moved. Which session pays depends on cross-worker timing at W > 1,
+// so the savings are gated only at W=1, where the order is deterministic.
 TEST(SharedVerdictTierTest, TierEnabledIsVerdictEquivalentWithFewerDetects) {
-  const TierRun reference =
-      runSharedFleet(FleetDriver::kLockstep, /*workers=*/1, false);
+  const TierRun reference = runSharedOracle();
 
-  const struct {
-    FleetDriver driver;
-    int workers;
-  } combos[] = {
-      {FleetDriver::kLockstep, 1},
-      {FleetDriver::kLockstep, 4},
-      {FleetDriver::kWorkStealing, 1},
-      {FleetDriver::kWorkStealing, 4},
-  };
-  for (const auto& combo : combos) {
-    SCOPED_TRACE(testing::Message()
-                 << (combo.driver == FleetDriver::kLockstep ? "lockstep"
-                                                            : "ws")
-                 << " W=" << combo.workers);
-    const TierRun tiered = runSharedFleet(combo.driver, combo.workers, true);
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "W=" << workers);
+    const TierRun tiered = runSharedFleet(workers, true);
 
     // Same inputs, same decisions — per session, not just in aggregate.
     EXPECT_EQ(tiered.eventsBySession, reference.eventsBySession);
     EXPECT_EQ(tiered.analysesBySession, reference.analysesBySession);
     EXPECT_EQ(tiered.flaggedBySession, reference.flaggedBySession);
-
-    // ...but the fleet paid less for them.
-    EXPECT_LT(tiered.detectorCalls, reference.detectorCalls);
-    EXPECT_GT(tiered.tier.hits, 0);
-    EXPECT_GT(tiered.tier.publishes, 0);
-    EXPECT_GT(tiered.tier.suppressedDetects, 0)
-        << "64 sessions over 8 shared apps must coalesce same-screen "
-           "misses within a flush";
     EXPECT_EQ(tiered.tier.rejectedUnevidenced, 0)
         << "this workload never fails a capture";
+
+    if (workers == 1) {
+      // ...but the fleet paid less for them.
+      EXPECT_LT(tiered.detectorCalls, reference.detectorCalls);
+      EXPECT_GT(tiered.tier.hits, 0);
+      EXPECT_GT(tiered.tier.publishes, 0);
+    }
   }
 }
 

@@ -2,8 +2,9 @@
 // tier lives outside src/fleet/ (it is core code the fleet owns), but its
 // shard stripes sit on the fleet's lock-rank spine at kVerdictTier, so
 // the raw-mutex rule covers any path containing "verdict_tier" too. A raw
-// std::mutex shard would be invisible to the rank validator, and a
-// publish-under-flush ordering bug could hide there.
+// std::mutex shard would be invisible to the rank validator, and a tier
+// lock taken in the wrong order against the scheduler's or the frame
+// pool's could hide there.
 #include <mutex>
 #include <vector>
 
