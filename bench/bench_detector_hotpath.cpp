@@ -16,15 +16,12 @@
 // allocs/frame) for trend tracking.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "cv/features.h"
-#include "nn/kernels/int8_kernels.h"
 #include "nn/mlp.h"
-#include "nn/quantize.h"
 
 namespace darpa::bench {
 namespace {
@@ -167,107 +164,6 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
-  // --- contract 1c: int8 kernel lanes (roofline + >= 2x SIMD) -------------
-  // The quantized head through every kernel lane the host supports. The
-  // scalar lane IS the PR 5 kernel (exact int32 tile GEMM, relocated to
-  // src/nn/kernels/); the dispatched SIMD lane must beat it >= 2x on an
-  // AVX2 host, with byte-identical logits — the speedup is pure lane
-  // width, never arithmetic drift.
-  using nn::kernels::Int8Lane;
-  const char* activeLaneName =
-      nn::kernels::laneName(nn::kernels::activeInt8Lane());
-  std::vector<std::vector<float>> calibration;
-  for (int r = 0; r < std::min(rows, 256); ++r) {
-    const float* d =
-        descriptors.data() + static_cast<std::size_t>(r) * cv::kCandidateFeatureDim;
-    calibration.emplace_back(d, d + cv::kCandidateFeatureDim);
-  }
-  const nn::QuantizedMlp quantizedHead =
-      nn::QuantizedMlp::fromMlp(head, calibration);
-
-  // Roofline accounting per forwardBatch call, summed over layers.
-  // MACs are the logical int8 multiply-accumulates; bytes are the unique
-  // traffic: float activations in, quantized matrix written + read back,
-  // packed weights + bias streamed, float outputs written.
-  double int8Macs = 0.0;
-  double int8Bytes = 0.0;
-  for (const nn::QuantizedLayer& layer : quantizedHead.layers()) {
-    int8Macs += static_cast<double>(rows) * layer.inSize * layer.outSize;
-    int8Bytes += static_cast<double>(rows) *
-                     (4.0 * layer.inSize + 2.0 * layer.paddedInSize +
-                      4.0 * layer.outSize) +
-                 static_cast<double>(layer.outSize) *
-                     (layer.paddedInSize + 4.0);
-  }
-
-  struct LaneResult {
-    Int8Lane lane = Int8Lane::kScalar;
-    bool supported = false;
-    double ms = 0.0;
-    double nsPerCandidate = 0.0;
-    double gmacs = 0.0;
-  };
-  std::vector<float> laneLogits(static_cast<std::size_t>(rows) *
-                                quantizedHead.outputSize());
-  std::vector<float> scalarLaneLogits;
-  LaneResult laneResults[nn::kernels::kInt8LaneCount];
-  std::printf("\n  int8 GEMM kernel lanes, %d candidates x %d reps "
-              "(dispatch resolved: %s):\n",
-              rows, forwardReps, activeLaneName);
-  for (const Int8Lane lane :
-       {Int8Lane::kScalar, Int8Lane::kSse4, Int8Lane::kAvx2}) {
-    LaneResult& result = laneResults[static_cast<int>(lane)];
-    result.lane = lane;
-    result.supported = nn::kernels::laneSupported(lane);
-    if (!result.supported) {
-      std::printf("    %-6s unsupported on this host; skipped\n",
-                  nn::kernels::laneName(lane));
-      continue;
-    }
-    const nn::kernels::Int8Kernel& kernel = nn::kernels::kernelForLane(lane);
-    quantizedHead.forwardBatchWithKernel(descriptors, rows, laneLogits,
-                                         scratch, kernel);  // warm scratch
-    result.ms = bestOf3([&] {
-      for (int rep = 0; rep < forwardReps; ++rep) {
-        quantizedHead.forwardBatchWithKernel(descriptors, rows, laneLogits,
-                                             scratch, kernel);
-        sink = sink + laneLogits[0];
-      }
-    });
-    result.nsPerCandidate = 1e6 * result.ms / totalRows;
-    result.gmacs = int8Macs * forwardReps / (result.ms * 1e6);
-    std::printf(
-        "    %-6s %9.2f ms  (%7.1f ns/candidate, %6.2f GMAC/s, "
-        "%2d MACs/instr)\n",
-        nn::kernels::laneName(lane), result.ms, result.nsPerCandidate,
-        result.gmacs, kernel.macsPerInstruction);
-    if (lane == Int8Lane::kScalar) {
-      scalarLaneLogits = laneLogits;
-    } else if (std::memcmp(scalarLaneLogits.data(), laneLogits.data(),
-                           laneLogits.size() * sizeof(float)) != 0) {
-      std::printf("FAIL: %s lane logits differ from scalar lane\n",
-                  nn::kernels::laneName(lane));
-      failed = true;
-    }
-  }
-  const LaneResult& scalarLane = laneResults[static_cast<int>(Int8Lane::kScalar)];
-  double int8SimdSpeedup = 1.0;
-  for (const LaneResult& result : laneResults) {
-    if (result.supported && result.lane != Int8Lane::kScalar) {
-      int8SimdSpeedup =
-          std::max(int8SimdSpeedup, scalarLane.ms / result.ms);
-    }
-  }
-  const double int8Intensity = int8Macs / int8Bytes;
-  std::printf(
-      "    arith intensity %.2f MAC/byte; SIMD speedup %.2fx over scalar "
-      "lane (contract: >= 2x when AVX2 is available)\n",
-      int8Intensity, int8SimdSpeedup);
-  if (nn::kernels::laneSupported(Int8Lane::kAvx2) && int8SimdSpeedup < 2.0) {
-    std::printf("FAIL: int8 SIMD lane speedup %.2fx < 2x\n", int8SimdSpeedup);
-    failed = true;
-  }
-
   // --- fused feature pass vs naive per-channel timing ---------------------
   // The pre-fusion shape rebuilt for comparison: five separate traversals
   // (one FeatureMap per single channel costs one full pass each).
@@ -392,35 +288,6 @@ int main(int argc, char** argv) {
         totalRows / (batchedForwardMs / 1000.0),
         1e6 * scalarForwardMs / totalRows, 1e6 * batchedForwardMs / totalRows,
         forwardSpeedup);
-    // Kernel-lane roofline: the resolved dispatch lane, per-lane time and
-    // throughput, and the knobs a roofline plot needs (logical int8 MACs,
-    // unique bytes, per-instruction peak; peak GOPS = peak_gops_per_ghz x
-    // the host's sustained clock). Unsupported lanes report -1 so the
-    // schema is host-independent.
-    std::fprintf(f,
-                 "  \"int8_kernel_lane\": \"%s\",\n"
-                 "  \"int8_macs_per_candidate\": %.0f,\n"
-                 "  \"int8_bytes_per_candidate\": %.1f,\n"
-                 "  \"int8_arith_intensity_macs_per_byte\": %.3f,\n"
-                 "  \"int8_simd_speedup\": %.3f,\n",
-                 activeLaneName, int8Macs / rows, int8Bytes / rows,
-                 int8Intensity, int8SimdSpeedup);
-    for (const LaneResult& result : laneResults) {
-      const nn::kernels::Int8Kernel& kernel =
-          nn::kernels::kernelForLane(result.lane);
-      const char* name = nn::kernels::laneName(result.lane);
-      // Peak GOPS per GHz: 2 ops/MAC x MACs/instruction x 2 madd issues
-      // per cycle (Haswell+ port 0+1; the scalar lane gets 1).
-      const int issueWidth = result.lane == Int8Lane::kScalar ? 1 : 2;
-      std::fprintf(
-          f,
-          "  \"int8_lane_%s_ns_per_candidate\": %.2f,\n"
-          "  \"int8_lane_%s_gops\": %.2f,\n"
-          "  \"int8_lane_%s_peak_gops_per_ghz\": %d,\n",
-          name, result.supported ? result.nsPerCandidate : -1.0, name,
-          result.supported ? 2.0 * result.gmacs : -1.0, name,
-          2 * kernel.macsPerInstruction * issueWidth);
-    }
     std::fprintf(
         f,
         "  \"feature_fused_ms_total\": %.3f,\n"

@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build, test (which includes the detlint
 # determinism-lint gates), the same again under ASan+UBSan, a TSan lane
-# over the threaded fleet/scheduler tests, forced-scalar int8 kernel-lane
-# parity reruns under both sanitizers (DARPA_KERNEL=scalar), a dispatch
-# probe asserting a -DDARPA_NATIVE_SIMD=OFF build still selects the avx2
-# int8 lane on AVX2 hosts, a bench smoke lane (every bench binary once
-# with --quick), a Release perf-smoke lane (the detector hot-path bench's
-# speedup/zero-alloc contracts need optimized codegen) followed by a perf
-# floor gate over the published BENCH_detector.json numbers, then the
-# Clang-only static lanes: a -Wthread-safety -Werror build over
-# the GUARDED_BY/RankedMutex annotations and a FATAL clang-tidy pass
+# over the threaded fleet/scheduler tests, a bench smoke lane (every
+# bench binary once with --quick), a Release perf-smoke lane (the
+# detector hot-path bench's speedup/zero-alloc contracts need optimized
+# codegen) followed by a perf floor gate over the published
+# BENCH_detector.json numbers, then the Clang-only static lanes: a
+# -Wthread-safety -Werror build over the GUARDED_BY/RankedMutex
+# annotations and a FATAL clang-tidy pass
 # (bugprone-*/performance-* as errors). Both Clang lanes are skipped
 # automatically when LLVM is not installed — the detlint + rank-validator
 # gates above run on any toolchain and stay fatal everywhere.
@@ -18,7 +16,7 @@
 #   SKIP_SANITIZE=1 scripts/ci.sh   # skip the sanitizer rebuilds + reruns
 #   SKIP_BENCH=1 scripts/ci.sh      # skip the bench smoke + perf lanes
 #
-# Uses build/, build-asan/, build-tsan/, build-lane/, build-perf/ and
+# Uses build/, build-asan/, build-tsan/, build-perf/ and
 # build-tsa/ at the repo root; all gitignored.
 set -euo pipefail
 
@@ -47,16 +45,6 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-  echo "== ctest, ASan, int8 parity with DARPA_KERNEL=scalar forced (build-asan/) =="
-  # Rerun the kernel-lane parity/dispatch suites with the scalar reference
-  # lane forced via the env override. The normal run above dispatches the
-  # widest lane, so this rerun is what keeps the scalar lane (and the
-  # override plumbing itself) sanitizer-covered even on wide hosts.
-  DARPA_KERNEL=scalar \
-  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
-
   echo "== ctest, ASan strict-stack webview/virtual-tree tests (build-asan/) =="
   # Focused rerun of the WebView/virtual-subtree suites with
   # stack-use-after-return detection on: the iterative virtual-tree walk
@@ -84,31 +72,7 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R 'FleetTest|FleetSchedulerTest|FramePoolTest|SharedVerdictTierTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
-
-  echo "== ctest, TSan, int8 parity with DARPA_KERNEL=scalar forced (build-tsan/) =="
-  # The dispatcher's std::call_once + env read is exactly the kind of
-  # one-time init TSan is good at: the parity suite spawns no threads, but
-  # the fleet suites above already ran the detector on four session
-  # workers, so this forced-scalar rerun checks the override path under
-  # the same runtime.
-  DARPA_KERNEL=scalar TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
 fi
-
-echo "== int8 kernel dispatch probe (default build, no -march=native) =="
-# Build tools/lane_probe in a tree with DARPA_NATIVE_SIMD explicitly OFF:
-# the int8 SIMD lanes are compiled via per-function target attributes, so
-# even a fully generic build must dispatch avx2 on an AVX2 host. Catches
-# regressions where a kernel file loses its target attribute and the whole
-# fleet silently drops to the scalar reference lane.
-cmake -B build-lane -S . -DDARPA_NATIVE_SIMD=OFF
-cmake --build build-lane -j "$JOBS" --target lane_probe
-./build-lane/tools/lane_probe/lane_probe
-if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-  ./build-lane/tools/lane_probe/lane_probe --require avx2
-fi
-DARPA_KERNEL=scalar ./build-lane/tools/lane_probe/lane_probe --require scalar
 
 if [ "${SKIP_BENCH:-0}" != "1" ]; then
   echo "== bench smoke (--quick) =="
@@ -154,22 +118,17 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
   # detect: fail the lane when either regresses past 0.5x of the SIMD-era
   # baseline (ceilings are 2x the measured PR 10 numbers on the reference
   # AVX2 host: fp32 batched ~198 ns/candidate, batched detect ~8.5
-  # ms/image, int8 avx2 lane ~171 ns, sse4 ~252 ns). Absolute ceilings
-  # deliberately complement the bench's in-run speedup ratios, whose
-  # scalar denominators are link-layout-sensitive.
-  # Deliberately loose enough to absorb machine jitter, tight enough that
-  # "the dispatcher fell back to scalar" (~870 ns) or "the batched GEMM
-  # lost its tiling" cannot slip through as a green run.
+  # ms/image). Absolute ceilings deliberately complement the bench's
+  # in-run speedup ratios, whose scalar denominators are
+  # link-layout-sensitive. Deliberately loose enough to absorb machine
+  # jitter, tight enough that "the batched GEMM lost its tiling" cannot
+  # slip through as a green run.
   python3 - <<'PYEOF'
 import json, sys
 
 d = json.load(open("BENCH_detector.json"))
 checks = [("forward_batched_ns_per_candidate", 400.0),
           ("detect_batched_ms_per_image", 17.0)]
-lane = d.get("int8_kernel_lane")
-ceil_by_lane = {"avx2": 350.0, "sse4": 520.0}
-if lane in ceil_by_lane:
-    checks.append((f"int8_lane_{lane}_ns_per_candidate", ceil_by_lane[lane]))
 failed = False
 for key, ceiling in checks:
     value = d.get(key)

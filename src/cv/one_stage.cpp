@@ -487,14 +487,7 @@ void OneStageDetector::enableQuantized(
   }
   quantizedHead_ = nn::QuantizedMlp::fromMlp(*head_, calibration);
   useQuantized_ = true;
-  // Surface the dispatched lane once: when a perf trend moves, the first
-  // question is whether the kernel changed under us.
-  logDebug("one-stage quantized head enabled; int8 kernel lane ",
-           quantizedKernelLane());
-}
-
-const char* OneStageDetector::quantizedKernelLane() {
-  return nn::kernels::laneName(nn::kernels::activeInt8Lane());
+  logDebug("one-stage quantized head enabled");
 }
 
 std::size_t OneStageDetector::modelBytes() const {
@@ -516,12 +509,19 @@ std::optional<OneStageDetector> OneStageDetector::loadModel(
   if (!in) return std::nullopt;
   auto head = nn::Mlp::load(in);
   if (!head) return std::nullopt;
+  // Fail closed unless the head is exactly the shape `config` trains: a
+  // cached head with other hidden widths must not load under this config.
+  std::vector<int> expected = {kCandidateFeatureDim};
+  expected.insert(expected.end(), config.hiddenLayers.begin(),
+                  config.hiddenLayers.end());
+  expected.push_back(6);
+  std::vector<int> actual = {head->inputSize()};
+  for (const nn::DenseLayer& layer : head->layers()) {
+    actual.push_back(layer.outSize);
+  }
+  if (actual != expected) return std::nullopt;
   OneStageDetector detector(config);
   detector.head_ = std::make_unique<nn::Mlp>(std::move(*head));
-  if (detector.head_->inputSize() != kCandidateFeatureDim ||
-      detector.head_->outputSize() != 6) {
-    return std::nullopt;
-  }
   return detector;
 }
 

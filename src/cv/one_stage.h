@@ -117,11 +117,9 @@ class OneStageDetector : public Detector {
   void enableQuantized(std::span<const gfx::Bitmap> calibrationImages);
   void disableQuantized() { useQuantized_ = false; }
   [[nodiscard]] bool quantized() const { return useQuantized_; }
-  /// Name of the int8 GEMM kernel lane the quantized head dispatches to
-  /// ("scalar", "sse4", "avx2"): resolved once per process from CPUID /
-  /// DARPA_KERNEL. Surfaced so perf trends are attributable to lane
-  /// changes; every lane is bit-equal, so verdicts never depend on it.
-  [[nodiscard]] static const char* quantizedKernelLane();
+  /// Always "scalar": the int8 head has one implementation. Kept only
+  /// because perfbench's host fingerprint still reads it.
+  [[nodiscard]] static const char* quantizedKernelLane() { return "scalar"; }
   /// Parameter footprint of the active model in bytes.
   [[nodiscard]] std::size_t modelBytes() const;
 

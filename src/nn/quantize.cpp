@@ -3,14 +3,41 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/kernels/int8_kernels.h"
-
 namespace darpa::nn {
 
 namespace {
+
+/// Symmetric int8 quantization: round(x / scale), clamped to +-127.
 std::int8_t quantizeValue(float x, float scale) {
-  return kernels::quantizeOne(x, scale);
+  const float q = std::round(x / scale);
+  return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
 }
+
+/// One quantized layer over `batch` row-major input rows; `q` stages one
+/// row's quantized input (inSize bytes). The ReLU is `sum < 0 ? 0 : sum`
+/// because max(sum, 0) would turn a -0.0 sum into +0.0.
+void layerForward(const QuantizedLayer& layer, const float* in, int batch,
+                  bool relu, std::int8_t* q, float* out) {
+  for (int n = 0; n < batch; ++n) {
+    const float* x = in + static_cast<std::size_t>(n) * layer.inSize;
+    for (int i = 0; i < layer.inSize; ++i) {
+      q[i] = quantizeValue(x[i], layer.inputScale);
+    }
+    float* o = out + static_cast<std::size_t>(n) * layer.outSize;
+    for (int j = 0; j < layer.outSize; ++j) {
+      const std::int8_t* w =
+          layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
+      std::int32_t acc = 0;
+      for (int i = 0; i < layer.inSize; ++i) {
+        acc += static_cast<std::int32_t>(q[i]) * w[i];
+      }
+      const float sum = static_cast<float>(acc) * layer.dequantScale +
+                        layer.bias[static_cast<std::size_t>(j)];
+      o[j] = relu && sum < 0.0f ? 0.0f : sum;
+    }
+  }
+}
+
 }  // namespace
 
 QuantizedMlp QuantizedMlp::fromMlp(
@@ -62,57 +89,28 @@ QuantizedMlp QuantizedMlp::fromMlp(
     q.inputScale = inputMax[l] > 0.0f ? inputMax[l] / 127.0f : 1.0f;
     // Constant folding: one multiplier per layer instead of two.
     q.dequantScale = weightScale * q.inputScale;
-    // Pre-pack for the SIMD microkernels: pad each weight row to the
-    // kernel stride with zeros once at conversion time, so every lane
-    // runs full-width vector loops over arbitrary inSize.
-    q.paddedInSize = kernels::padInt8RowSize(layer.inSize);
-    q.packedWeights.assign(
-        static_cast<std::size_t>(layer.outSize) * q.paddedInSize, 0);
-    for (int j = 0; j < layer.outSize; ++j) {
-      std::copy_n(
-          q.weights.begin() + static_cast<std::size_t>(j) * layer.inSize,
-          layer.inSize,
-          q.packedWeights.begin() +
-              static_cast<std::size_t>(j) * q.paddedInSize);
-    }
     out.layers_.push_back(std::move(q));
   }
   return out;
 }
 
-// The batched int8 layer walk. PR 5's in-place tile-transposed kernel
-// moved to src/nn/kernels/ as the scalar reference lane; this body is now
-// just layout staging (quantize the whole batch into a padded row-major
-// int8 matrix) around the dispatched microkernel. Exact int32
-// accumulation makes every lane — and the old tile kernel — bit-equal.
-void QuantizedMlp::forwardBatchWithKernel(
-    std::span<const float> inputs, int batch, std::span<float> outputs,
-    ForwardScratch& scratch, const kernels::Int8Kernel& kernel) const {
+void QuantizedMlp::forwardBatch(std::span<const float> inputs, int batch,
+                                std::span<float> outputs,
+                                ForwardScratch& scratch) const {
   if (batch <= 0 || layers_.empty()) return;
   const float* cur = inputs.data();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const QuantizedLayer& layer = layers_[l];
-    std::int8_t* qact = scratch.ensureInt8(static_cast<std::size_t>(batch) *
-                                           layer.paddedInSize);
-    kernel.quantizeRows(cur, batch, layer.inSize, layer.paddedInSize,
-                        layer.inputScale, qact);
+    std::int8_t* q =
+        scratch.ensureInt8(static_cast<std::size_t>(layer.inSize));
     const bool hidden = l + 1 < layers_.size();
     float* dst = hidden ? scratch.ensureFloats(
                               l % 2 != 0, static_cast<std::size_t>(batch) *
                                               layer.outSize)
                         : outputs.data();
-    kernel.gemm(qact, layer.packedWeights.data(), layer.bias.data(),
-                layer.dequantScale, batch, layer.paddedInSize, layer.outSize,
-                hidden, dst);
+    layerForward(layer, cur, batch, hidden, q, dst);
     cur = dst;
   }
-}
-
-void QuantizedMlp::forwardBatch(std::span<const float> inputs, int batch,
-                                std::span<float> outputs,
-                                ForwardScratch& scratch) const {
-  forwardBatchWithKernel(inputs, batch, outputs, scratch,
-                         kernels::activeInt8Kernel());
 }
 
 void QuantizedMlp::forwardInto(std::span<const float> x, std::span<float> out,

@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "nn/kernels/int8_kernels.h"
 #include "nn/mlp.h"
 
 namespace darpa::nn {
@@ -33,13 +32,6 @@ struct QuantizedLayer {
   std::vector<float> bias;           ///< Kept fp32 (as ncnn does).
   float inputScale = 1.0f;           ///< Activation quantization step.
   float dequantScale = 1.0f;         ///< Folded weightScale * inputScale.
-  /// inSize rounded up to kernels::kInt8KernelPad — the row stride of
-  /// packedWeights and of the quantized-activation scratch matrix.
-  int paddedInSize = 0;
-  /// Kernel-ready weights: outSize rows of paddedInSize int8, the tail of
-  /// each row zero-filled. Zeros add exactly zero to the int32 dot
-  /// product, so ragged inSize costs no in-kernel edge handling.
-  std::vector<std::int8_t> packedWeights;
 };
 
 class QuantizedMlp {
@@ -69,20 +61,13 @@ class QuantizedMlp {
                    ForwardScratch& scratch) const;
 
   /// Batched int8 inference, same layout contract as Mlp::forwardBatch.
-  /// Routes through the process-wide kernel table
-  /// (kernels::activeInt8Kernel()): scalar, SSE4.1, or AVX2 picked once
-  /// from CPUID / DARPA_KERNEL. Int32 accumulation is exact, so every
-  /// lane — and any batch size — is bit-equal to per-row forward().
+  /// Per row and layer: quantize the input (round(x / inputScale),
+  /// clamped to +-127), take the exact int32 dot product with each weight
+  /// row, then float(acc) * dequantScale + bias with a sign-exact ReLU on
+  /// hidden layers. Rows are independent, so any batch size is bit-equal
+  /// to per-row forward().
   void forwardBatch(std::span<const float> inputs, int batch,
                     std::span<float> outputs, ForwardScratch& scratch) const;
-
-  /// forwardBatch through an explicitly chosen kernel, bypassing the
-  /// dispatcher — the hook the lane-parity tests and the per-lane
-  /// roofline bench stand on. Same contract and results as forwardBatch.
-  void forwardBatchWithKernel(std::span<const float> inputs, int batch,
-                              std::span<float> outputs,
-                              ForwardScratch& scratch,
-                              const kernels::Int8Kernel& kernel) const;
 
   /// Serialized parameter footprint in bytes (int8 weights + fp32 biases +
   /// two scales per layer) — compare with 4 bytes/weight for the fp32 model.

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -617,6 +618,25 @@ TEST(OneStageTest, BatchedHeadBitEqualsScalarDetect) {
     expectDetectionsEq(batched.detect(images[i]), scalar->detect(images[i]),
                        "image " + std::to_string(i));
   }
+}
+
+TEST(OneStageTest, LoadModelRejectsHeadOfOtherHiddenWidths) {
+  // A cached head with the right input and output widths but different
+  // hidden layers must not load under a config that trains other ones.
+  Rng rng(17);
+  const nn::Mlp head({kCandidateFeatureDim, 8, 6}, rng);
+  const std::string path = testing::TempDir() + "/one_stage_shape.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    head.save(out);
+    ASSERT_TRUE(out.good());
+  }
+  EXPECT_FALSE(OneStageDetector::loadModel(path, OneStageConfig{}).has_value());
+  OneStageConfig matching;
+  matching.hiddenLayers = {8};
+  const auto loaded = OneStageDetector::loadModel(path, matching);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->head().parameterCount(), head.parameterCount());
 }
 
 TEST(TwoStageTest, ModelNames) {

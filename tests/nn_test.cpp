@@ -2,6 +2,7 @@
 // losses, and int8 quantization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "nn/kernels/int8_kernels.h"
 #include "nn/losses.h"
 #include "nn/mlp.h"
 #include "nn/quantize.h"
@@ -387,35 +387,44 @@ TEST(MlpBatchTest, ScratchStopsGrowingAfterWarmup) {
   EXPECT_EQ(scratch.grownBytes(), 0);
 }
 
-// --- dispatch-lane parity suite ---------------------------------------------
-// Every compiled-in SIMD lane must be BIT-equal to the scalar reference
-// lane: the int8 core accumulates in exact int32 and the float quantize/
-// dequant stages are written to evaluate identical IEEE sequences (see
-// src/nn/kernels/int8_kernels.h). EXPECT_EQ on floats, no tolerance —
-// this is what lets different hosts dispatch different kernels while the
-// fleet digests stay byte-identical. Lanes the host CPU lacks are skipped
-// (and reported), not failed.
+// --- independent int8 reference ---------------------------------------------
+// A deliberately naive int8 forward written from the quantization recipe
+// alone: quantize each input with round(x / scale) clamped to +-127, take
+// the int32 dot product, dequantize with float(acc) * dequantScale + bias,
+// ReLU on hidden layers. forwardBatch must match it exactly — EXPECT_EQ
+// on floats, no tolerance.
 
-std::vector<kernels::Int8Lane> supportedSimdLanes() {
-  std::vector<kernels::Int8Lane> lanes;
-  for (const kernels::Int8Lane lane :
-       {kernels::Int8Lane::kSse4, kernels::Int8Lane::kAvx2}) {
-    if (kernels::laneSupported(lane)) lanes.push_back(lane);
+std::vector<float> naiveInt8Forward(const QuantizedMlp& model,
+                                    std::vector<float> x) {
+  const std::span<const QuantizedLayer> layers = model.layers();
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const QuantizedLayer& layer = layers[l];
+    std::vector<int> q;
+    for (const float v : x) {
+      q.push_back(static_cast<int>(
+          std::clamp(std::round(v / layer.inputScale), -127.0f, 127.0f)));
+    }
+    std::vector<float> next;
+    for (int j = 0; j < layer.outSize; ++j) {
+      std::int32_t acc = 0;
+      for (int i = 0; i < layer.inSize; ++i) {
+        acc += q[static_cast<std::size_t>(i)] *
+               layer.weights[static_cast<std::size_t>(j * layer.inSize + i)];
+      }
+      const float sum = static_cast<float>(acc) * layer.dequantScale +
+                        layer.bias[static_cast<std::size_t>(j)];
+      next.push_back(l + 1 < layers.size() && sum < 0.0f ? 0.0f : sum);
+    }
+    x = std::move(next);
   }
-  return lanes;
+  return x;
 }
 
-TEST(MlpBatchTest, KernelLanesBitEqualToScalarLane) {
-  const std::vector<kernels::Int8Lane> lanes = supportedSimdLanes();
-  if (lanes.empty()) {
-    GTEST_SKIP() << "host CPU offers no SIMD lane; scalar-only build";
-  }
-  // Layer widths straddling the kernel pad (32): 1, width-1, width+1,
-  // plus the production head shape. Batches straddle the old row tile.
+TEST(MlpBatchTest, QuantizedForwardBatchMatchesNaiveInt8Reference) {
+  // Odd widths around 32 plus the production head shape; batches of one,
+  // odd sizes and a few hundred rows.
   const std::vector<std::vector<int>> shapes = {
       {1, 4, 1}, {31, 33, 5}, {33, 31, 4}, {24, 48, 24, 6}};
-  const kernels::Int8Kernel& scalarKernel =
-      kernels::kernelForLane(kernels::Int8Lane::kScalar);
   std::uint64_t seed = 500;
   for (const std::vector<int>& shape : shapes) {
     Rng rng(++seed);
@@ -433,84 +442,21 @@ TEST(MlpBatchTest, KernelLanesBitEqualToScalarLane) {
         for (const std::vector<float>& x : inputs) {
           packed.insert(packed.end(), x.begin(), x.end());
         }
-        const std::size_t outCount =
-            static_cast<std::size_t>(batch) * quantized.outputSize();
-        std::vector<float> reference(outCount);
+        const int outSize = quantized.outputSize();
+        std::vector<float> batched(static_cast<std::size_t>(batch) * outSize,
+                                   -1.0f);
         ForwardScratch scratch;
-        quantized.forwardBatchWithKernel(packed, batch, reference, scratch,
-                                         scalarKernel);
-        for (const kernels::Int8Lane lane : lanes) {
-          std::vector<float> simd(outCount, -1.0f);
-          quantized.forwardBatchWithKernel(packed, batch, simd, scratch,
-                                           kernels::kernelForLane(lane));
-          for (std::size_t i = 0; i < outCount; ++i) {
-            EXPECT_EQ(simd[i], reference[i])
-                << "lane=" << kernels::laneName(lane)
-                << " shape[0]=" << shape[0] << " calibrated=" << calibrated
-                << " batch=" << batch << " out=" << i;
+        quantized.forwardBatch(packed, batch, batched, scratch);
+        for (int n = 0; n < batch; ++n) {
+          const std::vector<float> expected =
+              naiveInt8Forward(quantized, inputs[static_cast<std::size_t>(n)]);
+          for (int j = 0; j < outSize; ++j) {
+            EXPECT_EQ(batched[static_cast<std::size_t>(n * outSize + j)],
+                      expected[static_cast<std::size_t>(j)])
+                << "shape[0]=" << shape[0] << " calibrated=" << calibrated
+                << " batch=" << batch << " row=" << n << " out=" << j;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatchTest, ActiveKernelIsASupportedLaneAndStable) {
-  const kernels::Int8Kernel& active = kernels::activeInt8Kernel();
-  EXPECT_TRUE(kernels::laneSupported(active.lane));
-  EXPECT_STREQ(active.name, kernels::laneName(active.lane));
-  // once_flag resolution: the table is resolved exactly once per process.
-  EXPECT_EQ(&kernels::activeInt8Kernel(), &active);
-  EXPECT_EQ(kernels::activeInt8Lane(), active.lane);
-}
-
-TEST(KernelDispatchTest, ResolveHonorsOverrideAndPicksWidestByDefault) {
-  // "scalar" is compiled and supported everywhere.
-  EXPECT_EQ(kernels::resolveInt8Kernel("scalar").lane,
-            kernels::Int8Lane::kScalar);
-  EXPECT_EQ(kernels::resolveInt8Kernel(nullptr).lane,
-            kernels::resolveInt8Kernel("").lane);
-  const kernels::Int8Kernel& best = kernels::resolveInt8Kernel(nullptr);
-  EXPECT_TRUE(kernels::laneSupported(best.lane));
-  if (kernels::laneSupported(kernels::Int8Lane::kAvx2)) {
-    EXPECT_EQ(best.lane, kernels::Int8Lane::kAvx2);
-  }
-  for (const kernels::Int8Lane lane : supportedSimdLanes()) {
-    EXPECT_EQ(kernels::resolveInt8Kernel(kernels::laneName(lane)).lane, lane);
-  }
-}
-
-TEST(KernelDispatchTest, UnknownLaneAborts) {
-  // DARPA_KERNEL typos must fail loudly, not silently fall back — perf
-  // numbers pinned to a lane that was never selected are worse than none.
-  EXPECT_DEATH(static_cast<void>(kernels::resolveInt8Kernel("neon")),
-               "unknown kernel lane");
-}
-
-TEST(KernelDispatchTest, PaddingIsKernelSized) {
-  EXPECT_EQ(kernels::padInt8RowSize(1), kernels::kInt8KernelPad);
-  EXPECT_EQ(kernels::padInt8RowSize(kernels::kInt8KernelPad),
-            kernels::kInt8KernelPad);
-  EXPECT_EQ(kernels::padInt8RowSize(kernels::kInt8KernelPad + 1),
-            2 * kernels::kInt8KernelPad);
-  Rng rng(71);
-  const Mlp mlp({33, 31, 4}, rng);
-  const QuantizedMlp quantized = QuantizedMlp::fromMlp(mlp, {});
-  for (const QuantizedLayer& layer : quantized.layers()) {
-    EXPECT_EQ(layer.paddedInSize, kernels::padInt8RowSize(layer.inSize));
-    ASSERT_EQ(layer.packedWeights.size(),
-              static_cast<std::size_t>(layer.outSize) * layer.paddedInSize);
-    for (int j = 0; j < layer.outSize; ++j) {
-      const std::int8_t* packed =
-          layer.packedWeights.data() +
-          static_cast<std::size_t>(j) * layer.paddedInSize;
-      for (int i = 0; i < layer.inSize; ++i) {
-        EXPECT_EQ(packed[i],
-                  layer.weights[static_cast<std::size_t>(j) * layer.inSize +
-                                i]);
-      }
-      for (int i = layer.inSize; i < layer.paddedInSize; ++i) {
-        EXPECT_EQ(packed[i], 0) << "padding must be zero (exactness)";
       }
     }
   }

@@ -34,10 +34,10 @@
 //       vars, CPUID) varies machine to machine and deploy to deploy;
 //       code that branches on it mid-computation produces digests that
 //       depend on where the run happened. The one legal shape is
-//       one-time init whose every outcome is bit-equal (the int8 kernel
-//       dispatcher in src/nn/kernels/int8_dispatch.cpp: all lanes
-//       produce identical bytes, so the CPUID/env read only picks a
-//       speed) — documented with an explicit begin-allow region.
+//       one-time init whose every outcome is bit-equal (e.g. a CPUID
+//       pick between exact-integer kernels, where the read only picks a
+//       speed) — documented with an explicit begin-allow region. src/
+//       has no such instance; fixtures/env_dispatch.cpp exercises it.
 //   mutex-missing-guarded-by
 //       A std::mutex / RankedMutex member whose file contains no
 //       GUARDED_BY(<that mutex>) annotation. Applies everywhere (not only
