@@ -91,11 +91,10 @@ RunResult runFleet(const cv::Detector& detector, bool pooled, int workers) {
 
 void printRun(const char* tag, const RunResult& r) {
   std::printf("  %-14s heap allocs %6lld   pooled reuses %6lld   "
-              "hit rate %5.1f%%   high water %7.1f KB   backpressured %lld\n",
+              "hit rate %5.1f%%   high water %7.1f KB\n",
               tag, static_cast<long long>(r.screenshotAllocs),
               static_cast<long long>(r.pooledReuses), 100.0 * r.poolHitRate,
-              static_cast<double>(r.pool.highWaterBytes) / 1024.0,
-              static_cast<long long>(r.pool.backpressured));
+              static_cast<double>(r.pool.highWaterBytes) / 1024.0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "android/webview.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "util/rng.h"
 
@@ -22,6 +24,50 @@ std::string_view virtualRoleClassName(VirtualRole role) {
       return "android.view.View";
   }
   return "android.view.View";
+}
+
+namespace {
+
+/// Every node edge a page hands over must lie within +-kMaxPageCoord.
+constexpr std::int64_t kMaxPageCoord = std::int64_t{1} << 20;
+
+bool boundsInPageRange(const Rect& r) {
+  const auto inRange = [](std::int64_t v) {
+    return v >= -kMaxPageCoord && v <= kMaxPageCoord;
+  };
+  return r.width >= 0 && r.height >= 0 && inRange(r.x) && inRange(r.y) &&
+         inRange(static_cast<std::int64_t>(r.x) + r.width) &&
+         inRange(static_cast<std::int64_t>(r.y) + r.height);
+}
+
+double sanitizedOpacity(double opacity) {
+  return std::isnan(opacity) ? 0.0 : std::clamp(opacity, 0.0, 1.0);
+}
+
+}  // namespace
+
+void WebView::setPage(VirtualNode root) {
+  rejectedVirtualNodes_ = 0;
+  if (!boundsInPageRange(root.bounds)) {
+    rejectedVirtualNodes_ = 1;
+    hasPage_ = false;
+    return;
+  }
+  page_ = std::move(root);
+  hasPage_ = true;
+  // Explicit stack for the same reason as forEachVirtual: page depth is
+  // page-controlled.
+  std::vector<VirtualNode*> stack{&page_};
+  while (!stack.empty()) {
+    VirtualNode* node = stack.back();
+    stack.pop_back();
+    node->opacity = sanitizedOpacity(node->opacity);
+    rejectedVirtualNodes_ += static_cast<int>(
+        std::erase_if(node->children, [](const VirtualNode& child) {
+          return !boundsInPageRange(child.bounds);
+        }));
+    for (VirtualNode& child : node->children) stack.push_back(&child);
+  }
 }
 
 void WebView::forEachVirtual(

@@ -76,12 +76,17 @@ class WebView : public View {
     return "android.webkit.WebView";
   }
 
-  /// Installs the page's virtual tree (replacing any previous page).
-  void setPage(VirtualNode root) {
-    page_ = std::move(root);
-    hasPage_ = true;
+  /// Installs the page's virtual tree (replacing any previous page). The
+  /// tree is page-controlled, so it is checked here, fail closed: a node
+  /// with a negative size or an edge outside +-2^20 page px is dropped
+  /// with its subtree (a rejected root drops the whole page), and opacity
+  /// is clamped into [0, 1] with NaN -> 0. After that every translation of
+  /// page bounds into screen space stays far inside int range.
+  void setPage(VirtualNode root);
+  void clearPage() {
+    hasPage_ = false;
+    rejectedVirtualNodes_ = 0;
   }
-  void clearPage() { hasPage_ = false; }
   [[nodiscard]] bool hasPage() const { return hasPage_; }
   /// Page root; nullptr when no page is loaded.
   [[nodiscard]] const VirtualNode* page() const {
@@ -110,6 +115,11 @@ class WebView : public View {
 
   /// Number of nodes in the virtual tree (0 when no page).
   [[nodiscard]] int virtualNodeCount() const;
+  /// Nodes setPage dropped from the current page for out-of-range bounds
+  /// (each counted once; the descendants dropped with it are not).
+  [[nodiscard]] int rejectedVirtualNodes() const {
+    return rejectedVirtualNodes_;
+  }
 
   /// Routes hits to the page: if a visible clickable virtual node contains
   /// the point, the WebView consumes the click (the native toolkit sees
@@ -126,6 +136,7 @@ class WebView : public View {
  private:
   VirtualNode page_;
   bool hasPage_ = false;
+  int rejectedVirtualNodes_ = 0;
 };
 
 }  // namespace darpa::android

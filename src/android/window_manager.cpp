@@ -135,8 +135,7 @@ gfx::Bitmap WindowManager::composite() const {
   gfx::Bitmap screen =
       framePool_ != nullptr
           ? framePool_->acquire(config_.screenSize.width,
-                                config_.screenSize.height, colors::kBlack,
-                                poolSessionTag_)
+                                config_.screenSize.height, colors::kBlack)
           : gfx::Bitmap(config_.screenSize.width, config_.screenSize.height,
                         colors::kBlack);
   gfx::Canvas canvas(screen);

@@ -122,13 +122,9 @@ class WindowManager {
   void setClock(const SimClock* clock) { clock_ = clock; }
 
   /// Slab pool composite() allocates its screen buffers from (null = plain
-  /// heap allocation per capture). `sessionTag` scopes the pool's
-  /// per-session quota — fleets pass the session id. The pool is borrowed
-  /// and must outlive every bitmap composited through it.
-  void setFramePool(gfx::FramePool* pool, int sessionTag = 0) {
-    framePool_ = pool;
-    poolSessionTag_ = sessionTag;
-  }
+  /// heap allocation per capture). The pool is borrowed and must outlive
+  /// every bitmap composited through it.
+  void setFramePool(gfx::FramePool* pool) { framePool_ = pool; }
   [[nodiscard]] gfx::FramePool* framePool() const { return framePool_; }
 
   [[nodiscard]] const Config& config() const { return config_; }
@@ -224,7 +220,6 @@ class WindowManager {
   UiEventSink* sink_ = nullptr;
   const SimClock* clock_ = nullptr;
   gfx::FramePool* framePool_ = nullptr;
-  int poolSessionTag_ = 0;
   std::vector<std::unique_ptr<Window>> appStack_;
   std::vector<Overlay> overlays_;
   int nextWindowId_ = 1;

@@ -13,8 +13,8 @@
 //
 // Concurrency: N-way sharded by fingerprint; each shard is a bounded LRU
 // under its own RankedMutex at LockRank::kVerdictTier — below the
-// stat-merge and frame-pool ranks, so a tier operation can never be
-// entangled with a slab release or a retirement fold. All shards share one
+// frame-pool rank, so a slab release is legal while a tier lock is held
+// and a tier operation never waits under the pool. All shards share one
 // rank: a thread holds at most one shard lock at a time, and nothing is
 // ever called out to while it is held.
 //

@@ -28,11 +28,10 @@
 // only the thread currently advancing its DeviceSession may record into it,
 // and sessions never share a ledger. The ledger itself carries no
 // synchronization; aggregation happens only when the owning session is
-// quiescent. In a fleet the worker that RETIRES a session snapshot()s its
-// ledger exactly once and folds the copy into core::StatMergeShards (whose
-// merged() replays folds in session-id order, keeping double addition
-// bit-reproducible); the shard mutex is the happens-before edge, and the
-// session's own ledger is never read again by the fleet.
+// quiescent. In a fleet, Fleet::snapshot() snapshot()s every session's
+// ledger after run() has joined the workers (the join is the
+// happens-before edge) and merges them in session-id order, keeping double
+// addition bit-reproducible.
 #pragma once
 
 #include <array>

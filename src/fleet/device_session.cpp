@@ -11,7 +11,7 @@ DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
       app_(system_, config_.profile, config_.appSeed),
       monkey_(system_, config_.monkeySeed) {
   if (config_.framePool != nullptr) {
-    system_.windowManager.setFramePool(config_.framePool, config_.id);
+    system_.windowManager.setFramePool(config_.framePool);
   }
   system_.accessibility.connect(service_);
   // The scoring listener records the positive-verdict timeline (Fig.-8

@@ -47,7 +47,6 @@ class DeviceSession {
     int monkeyMaxGapMs = 4000;
     /// Slab pool the window manager composites screen captures from
     /// (null = plain heap allocation). Borrowed; must outlive the session.
-    /// The session id tags acquisitions for the pool's per-session quota.
     gfx::FramePool* framePool = nullptr;
   };
 

@@ -4,6 +4,10 @@
 #include <cstdlib>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "apps/app_model.h"
 #include "util/rng.h"
 
@@ -15,11 +19,8 @@ Fleet::Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
   if (config_.sessions < 1) config_.sessions = 1;
   if (config_.workers < 1) config_.workers = 1;
   if (config_.epoch <= Millis{0}) config_.epoch = Millis{1000};
-  if (config_.framePool.shards == 0) config_.framePool.shards = config_.workers;
 
-  if (config_.pooledFrames) {
-    pool_ = std::make_unique<gfx::FramePool>(config_.framePool);
-  }
+  if (config_.pooledFrames) pool_ = std::make_unique<gfx::FramePool>();
   if (config_.sharedVerdictTier) {
     if (config_.verdictTier.shards < 1) {
       config_.verdictTier.shards = config_.workers;
@@ -54,13 +55,24 @@ Fleet::Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
         std::make_unique<DeviceSession>(detector, std::move(session)));
   }
 
-  statMerge_ = std::make_unique<core::StatMergeShards>(config_.workers);
   WorkStealingScheduler::Config sched;
   sched.epoch = config_.epoch;
   sched.duration = config_.duration;
   sched.workers = config_.workers;
-  scheduler_ =
-      std::make_unique<WorkStealingScheduler>(sessions_, *statMerge_, sched);
+  scheduler_ = std::make_unique<WorkStealingScheduler>(sessions_, sched);
+}
+
+Fleet::~Fleet() {
+  // Thousands of sessions free on the order of a million small blocks here.
+  // glibc parks them unmerged and merges them inside the next large
+  // allocation, so whatever runs next (typically the next fleet's set-up)
+  // would stall for it: ~15 ms after a 2048-session fleet on a 4-core Xeon.
+  // malloc_trim makes the teardown pay for its own frees.
+  scheduler_.reset();
+  sessions_.clear();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 void Fleet::checkSessionIndex(int i) const {
@@ -86,23 +98,12 @@ FleetSnapshot Fleet::snapshot() const {
   FleetSnapshot snap;
   snap.sessions = static_cast<int>(sessions_.size());
   snap.simTime = started_ ? now_ : Millis{0};
-  if (started_) {
-    // Every session folded its totals at retirement; merged() replays them
-    // in session-id order, bit-equal to the scan below.
-    const core::StatMergeShards::Merged merged = statMerge_->merged();
-    snap.stats = merged.stats;
-    snap.ledger = merged.ledger;
-    snap.eventsEmitted = merged.eventsEmitted;
-    snap.auiExposures = merged.auiExposures;
-    snap.auisCovered = merged.auisCovered;
-  } else {
-    for (const auto& session : sessions_) {
-      snap.stats.merge(session->stats().snapshot());
-      snap.ledger.merge(session->ledger().snapshot());
-      snap.eventsEmitted += session->eventsEmitted();
-      snap.auiExposures += session->auiExposures();
-      snap.auisCovered += session->auisCovered();
-    }
+  for (const auto& session : sessions_) {
+    snap.stats.merge(session->stats().snapshot());
+    snap.ledger.merge(session->ledger().snapshot());
+    snap.eventsEmitted += session->eventsEmitted();
+    snap.auiExposures += session->auiExposures();
+    snap.auisCovered += session->auisCovered();
   }
   if (pool_ != nullptr) snap.framePool = pool_->stats();
   if (tier_ != nullptr) snap.verdictTier = tier_->stats();

@@ -11,11 +11,10 @@
 // aggregated DarpaStats/WorkLedger are therefore identical across repeated
 // runs and across worker counts; only wall-clock changes.
 //
-// Aggregation: there is no barrier. Each retiring worker folds its
-// session's totals into core::StatMergeShards (LockRank::kStatMerge), and
-// snapshot() assembles the roll-up from the shards in session-id order —
-// bit-identical to a quiescent scan of every session. perf::DeviceModel
-// consumes it unchanged.
+// Aggregation: the sessions outlive run(), so snapshot() is one scan of
+// every session in id order once the workers have joined. The fixed order
+// keeps the double summation in the ledger bit-reproducible.
+// perf::DeviceModel consumes the roll-up unchanged.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "core/detection_executor.h"
-#include "core/stat_merge.h"
 #include "core/verdict_tier.h"
 #include "fleet/device_session.h"
 #include "fleet/scheduler.h"
@@ -56,8 +54,6 @@ struct FleetConfig {
   /// across sessions and epochs. Results are byte-identical either way —
   /// the pool only changes where the bytes live.
   bool pooledFrames = true;
-  gfx::FramePool::Options framePool;  ///< Caps; zeros = unlimited. shards=0
-                                      ///< resolves to the worker count.
   /// Own a fleet-wide SharedVerdictTier (the L2 behind every session's
   /// verdict cache) and point every session at it. Off by default: a
   /// tier-less fleet is byte-identical to the pre-tier build. On, sessions
@@ -93,6 +89,9 @@ class Fleet {
   Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
         FleetConfig config);
 
+  /// Destroys the sessions, then returns the freed heap to the allocator
+  /// in one pass (see fleet.cpp).
+  ~Fleet();
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
@@ -116,12 +115,10 @@ class Fleet {
   [[nodiscard]] const FleetConfig& config() const { return config_; }
   [[nodiscard]] Millis now() const { return now_; }
 
-  /// Aggregates every session's stats/ledger/coverage. After run():
-  /// assembled from the StatMergeShards the retiring workers folded into,
-  /// replayed in session-id order. Before run() (or when a caller drives
-  /// the sessions itself): a scan of every session in the same order —
-  /// bit-identical to the merge. Per-session state is session-confined, so
-  /// this may only run while no session is being advanced.
+  /// Aggregates every session's stats/ledger/coverage by scanning the
+  /// sessions in id order. Per-session state is session-confined, so this
+  /// may only run while no session is being advanced: before or after
+  /// run(), or between the steps of a caller driving the sessions itself.
   [[nodiscard]] FleetSnapshot snapshot() const;
 
   /// Scheduling observability (steals, per-session finish wall times).
@@ -155,8 +152,6 @@ class Fleet {
   /// through the scheduler's queues), and to the control thread outside
   /// run().
   std::vector<std::unique_ptr<DeviceSession>> sessions_;
-  /// Retirement fold target + snapshot source.
-  std::unique_ptr<core::StatMergeShards> statMerge_;
   std::unique_ptr<WorkStealingScheduler> scheduler_;
   Millis now_ CONFINED_TO("control thread"){0};
   bool started_ CONFINED_TO("control thread") = false;

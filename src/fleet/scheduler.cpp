@@ -1,16 +1,14 @@
 #include "fleet/scheduler.h"
 
 #include <thread>
-#include <utility>
 
 #include "util/clock.h"
 
 namespace darpa::fleet {
 
 WorkStealingScheduler::WorkStealingScheduler(
-    std::vector<std::unique_ptr<DeviceSession>>& sessions,
-    core::StatMergeShards& statMerge, Config config)
-    : statMerge_(&statMerge), config_(config) {
+    std::vector<std::unique_ptr<DeviceSession>>& sessions, Config config)
+    : config_(config) {
   if (config_.workers < 1) config_.workers = 1;
   if (config_.epoch.count < 1) config_.epoch = ms(1);
 
@@ -34,8 +32,8 @@ void WorkStealingScheduler::run() {
   metrics_.finishWallMs.assign(static_cast<std::size_t>(n), 0.0);
 
   if (config_.duration.count <= 0) {
-    // Nothing to advance at duration 0 — no slices, but sessions still fold
-    // their (zero-activity) totals so snapshot() sees every session.
+    // Nothing to advance at duration 0 — no slices, but every session still
+    // retires so its finish time is stamped.
     for (int id = 0; id < n; ++id) retire(id);
     return;
   }
@@ -132,25 +130,12 @@ void WorkStealingScheduler::runSlice(int id) {
 }
 
 void WorkStealingScheduler::retire(int id) {
-  Task& task = tasks_[static_cast<std::size_t>(id)];
-  DeviceSession& session = *task.session;
-
-  core::StatMergeShards::SessionTotals totals;
-  totals.stats = session.stats().snapshot();
-  totals.ledger = session.ledger().snapshot();
-  totals.eventsEmitted = session.eventsEmitted();
-  totals.auiExposures = session.auiExposures();
-  totals.auisCovered = session.auisCovered();
-  statMerge_->fold(id, std::move(totals));
-
   // Per-slot write, each id retired exactly once; read only after join.
   // detlint: begin-allow(wall-clock-in-digest-path) observability axis only
   metrics_.finishWallMs[static_cast<std::size_t>(id)] =
       (wallMicros() - runStartWall_) / 1000.0;
   // detlint: end-allow(wall-clock-in-digest-path)
 
-  // Decrement active_ only AFTER the fold so run() cannot return (and the
-  // fleet cannot snapshot) before this session's totals are in the shards.
   const util::LockGuard lock(control_);
   --active_;
   idleCv_.notifyAll();

@@ -21,17 +21,16 @@
 // any rerun, and equal to an epoch-barrier reference that advances every
 // session epoch by epoch (FleetSchedulerTest holds the two equal).
 //
-// After its final slice a session RETIRES: the worker folds its
-// stats/ledger/coverage into core::StatMergeShards (LockRank::kStatMerge)
-// and drops it from the accounting. There is no quiescent scan; the shard
-// merge replays folded sessions in id order, bit-equal to one.
+// After its final slice a session RETIRES: the worker stamps its finish
+// wall time and drops it from the active count. Its stats stay in the
+// session; Fleet::snapshot() reads them with one in-order scan after run()
+// has joined every worker.
 //
 // Lock order (see util/lock_rank.h): control (100) -> shard queue (200)
-// while enqueuing; stat merge (500) alone while folding. A slice itself
-// runs with no scheduler lock held, so the pipeline's own locks (verdict
-// tier stripes, frame pool) are taken from an empty rank stack. Shard
-// locks share a rank — a thread never holds two (stealing probes siblings
-// only after releasing its own shard).
+// while enqueuing. A slice itself runs with no scheduler lock held, so the
+// pipeline's own locks (verdict tier stripes, frame pool) are taken from
+// an empty rank stack. Shard locks share a rank — a thread never holds two
+// (stealing probes siblings only after releasing its own shard).
 #pragma once
 
 #include <atomic>
@@ -41,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/stat_merge.h"
 #include "fleet/device_session.h"
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
@@ -70,10 +68,9 @@ class WorkStealingScheduler {
     int workers = 1;         ///< Worker threads == run-queue shards.
   };
 
-  /// All references are borrowed and must outlive the scheduler.
-  /// `statMerge` receives every session's totals at retirement.
+  /// The sessions are borrowed and must outlive the scheduler.
   WorkStealingScheduler(std::vector<std::unique_ptr<DeviceSession>>& sessions,
-                        core::StatMergeShards& statMerge, Config config);
+                        Config config);
   WorkStealingScheduler(const WorkStealingScheduler&) = delete;
   WorkStealingScheduler& operator=(const WorkStealingScheduler&) = delete;
 
@@ -131,7 +128,6 @@ class WorkStealingScheduler {
 
   void enqueueLocked(int id) REQUIRES(control_);
 
-  core::StatMergeShards* statMerge_;
   Config config_;
 
   std::vector<Task> tasks_;  ///< Fixed after construction; index = id.

@@ -5,25 +5,13 @@
 
 namespace darpa::gfx {
 
-FramePool::FramePool(Options options) : options_(options) {
-  if (options_.shards < 1) options_.shards = 1;
-  shards_.reserve(static_cast<std::size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  shardParkCap_ =
-      options_.maxBytes == 0
-          ? 0
-          : options_.maxBytes / static_cast<std::size_t>(options_.shards);
-}
-
 std::size_t FramePool::sizeClass(std::size_t pixelCount) {
   std::size_t cls = 4096;
   while (cls < pixelCount) cls <<= 1;
   return cls;
 }
 
-Bitmap FramePool::acquire(int width, int height, Color fill, int sessionTag) {
+Bitmap FramePool::acquire(int width, int height, Color fill) {
   width = std::max(width, 0);
   height = std::max(height, 0);
   if (width == 0 || height == 0) return {};
@@ -34,62 +22,21 @@ Bitmap FramePool::acquire(int width, int height, Color fill, int sessionTag) {
   const std::size_t clsBytes = cls * sizeof(Color);
 
   std::unique_ptr<PixelSlab> slab;
-  Shard& shard = shardFor(sessionTag);
   {
-    const util::LockGuard lock(shard.mutex);
-    ++shard.stats.acquires;
-
-    // Quota check against the slab's *class* footprint (that is what the
-    // free lists retain). A denied acquire is not an error: the caller
-    // gets a plain heap bitmap, exactly the un-pooled cost.
-    const std::size_t sessionOutstanding = shard.sessionBytes[sessionTag];
-    if (options_.sessionQuotaBytes != 0 &&
-        sessionOutstanding + clsBytes > options_.sessionQuotaBytes) {
-      ++shard.stats.backpressured;
-      return Bitmap(width, height, fill);
-    }
-
-    // Local free list first: a parked slab is already inside the pool cap,
-    // so taking it needs no cap check (parked -> outstanding, net zero).
-    auto it = shard.free.find(cls);
-    if (it != shard.free.end() && !it->second.empty()) {
+    const util::LockGuard lock(mutex_);
+    ++stats_.acquires;
+    auto it = free_.find(cls);
+    if (it != free_.end() && !it->second.empty()) {
       slab = std::move(it->second.back());
       it->second.pop_back();
-      ++shard.stats.poolHits;
-      shard.stats.parkedBytes -= clsBytes;
-      shard.stats.reusedBytes += static_cast<std::int64_t>(clsBytes);
+      ++stats_.poolHits;
+      stats_.parkedBytes -= clsBytes;
+      stats_.reusedBytes += static_cast<std::int64_t>(clsBytes);
     } else {
-      // Dry shard: refill from the global spill (also already inside the
-      // cap) before considering the heap. Legal nesting: kFramePool (held)
-      // -> kFramePoolSpill.
-      {
-        const util::LockGuard spillLock(spill_.mutex);
-        auto spillIt = spill_.free.find(cls);
-        if (spillIt != spill_.free.end() && !spillIt->second.empty()) {
-          slab = std::move(spillIt->second.back());
-          spillIt->second.pop_back();
-          spill_.parkedBytes -= clsBytes;
-          ++spill_.out;
-        }
-      }
-      if (slab != nullptr) {
-        ++shard.stats.poolHits;
-        shard.stats.reusedBytes += static_cast<std::int64_t>(clsBytes);
-      } else {
-        // Heap it is — unless that would push the pool past its byte cap.
-        if (options_.maxBytes != 0 &&
-            totalBytes_.load(std::memory_order_relaxed) + clsBytes >
-                options_.maxBytes) {
-          ++shard.stats.backpressured;
-          return Bitmap(width, height, fill);
-        }
-        ++shard.stats.poolMisses;
-        totalBytes_.fetch_add(clsBytes, std::memory_order_relaxed);
-      }
+      ++stats_.poolMisses;
     }
-    shard.stats.outstandingBytes += clsBytes;
-    shard.sessionBytes[sessionTag] = sessionOutstanding + clsBytes;
-    shard.noteFootprintLocked();
+    stats_.outstandingBytes += clsBytes;
+    noteFootprintLocked();
   }
 
   const bool reused = slab != nullptr;
@@ -102,78 +49,23 @@ Bitmap FramePool::acquire(int width, int height, Color fill, int sessionTag) {
   slab->pixels.assign(count, fill);
   slab->source = reused ? SlabSource::kPoolReused : SlabSource::kPoolFresh;
 
-  Bitmap::SlabPtr shared(slab.release(), SlabReturner{this, cls, sessionTag});
+  Bitmap::SlabPtr shared(slab.release(), SlabReturner{this, cls});
   return Bitmap(width, height, std::move(shared));
 }
 
 void FramePool::release(std::unique_ptr<PixelSlab> slab,
-                        std::size_t classPixels, int sessionTag) {
+                        std::size_t classPixels) {
   const std::size_t clsBytes = classPixels * sizeof(Color);
-  Shard& shard = shardFor(sessionTag);
-  const util::LockGuard lock(shard.mutex);
-  ++shard.stats.releases;
-  shard.stats.outstandingBytes -=
-      std::min(shard.stats.outstandingBytes, clsBytes);
-  auto session = shard.sessionBytes.find(sessionTag);
-  if (session != shard.sessionBytes.end()) {
-    session->second -= std::min(session->second, clsBytes);
-  }
-  // Every pooled slab added exactly clsBytes at acquire (fresh) or kept it
-  // (reuse), so the unconditional subtract cannot underflow.
-  totalBytes_.fetch_sub(clsBytes, std::memory_order_relaxed);
-
-  // Park for reuse unless that would push the pool past its cap — then the
-  // slab simply dies (unique_ptr frees it) and the footprint shrinks.
-  if (options_.maxBytes != 0 &&
-      totalBytes_.load(std::memory_order_relaxed) + clsBytes >
-          options_.maxBytes) {
-    return;
-  }
-  totalBytes_.fetch_add(clsBytes, std::memory_order_relaxed);
-
-  // Full shard under a cap: overflow spills globally so a dry shard can
-  // refill it later instead of hitting the heap. (Unreachable at
-  // shards == 1: local parked bytes can never exceed maxBytes when the
-  // global cap above held.)
-  if (shards_.size() > 1 && shardParkCap_ != 0 &&
-      shard.stats.parkedBytes + clsBytes > shardParkCap_) {
-    const util::LockGuard spillLock(spill_.mutex);
-    spill_.parkedBytes += clsBytes;
-    spill_.highWaterBytes = std::max(spill_.highWaterBytes, spill_.parkedBytes);
-    ++spill_.in;
-    spill_.free[classPixels].push_back(std::move(slab));
-    return;
-  }
-
-  shard.stats.parkedBytes += clsBytes;
-  shard.free[classPixels].push_back(std::move(slab));
-  shard.noteFootprintLocked();
+  const util::LockGuard lock(mutex_);
+  ++stats_.releases;
+  stats_.outstandingBytes -= std::min(stats_.outstandingBytes, clsBytes);
+  stats_.parkedBytes += clsBytes;
+  free_[classPixels].push_back(std::move(slab));
 }
 
 FramePool::Stats FramePool::stats() const {
-  Stats total;
-  for (const auto& shard : shards_) {
-    const util::LockGuard lock(shard->mutex);
-    const Stats& s = shard->stats;
-    total.acquires += s.acquires;
-    total.poolHits += s.poolHits;
-    total.poolMisses += s.poolMisses;
-    total.backpressured += s.backpressured;
-    total.releases += s.releases;
-    total.outstandingBytes += s.outstandingBytes;
-    total.parkedBytes += s.parkedBytes;
-    total.highWaterBytes += s.highWaterBytes;
-    total.reusedBytes += s.reusedBytes;
-  }
-  {
-    const util::LockGuard lock(spill_.mutex);
-    total.parkedBytes += spill_.parkedBytes;
-    total.highWaterBytes += spill_.highWaterBytes;
-    total.spillIn = spill_.in;
-    total.spillOut = spill_.out;
-    total.spillParkedBytes = spill_.parkedBytes;
-  }
-  return total;
+  const util::LockGuard lock(mutex_);
+  return stats_;
 }
 
 }  // namespace darpa::gfx

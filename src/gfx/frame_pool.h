@@ -8,50 +8,22 @@
 // capacity retained), and acquire() re-fills a recycled slab instead of
 // touching the heap.
 //
-// Sharding (work-stealing fleet scale): with one global free list, every
-// capture and every slab release in the fleet funnels through a single
-// mutex. The pool therefore shards by session: sessionTag % shards picks a
-// shard with its own RankedMutex (kFramePool), free lists, and per-session
-// quota table, so sessions on different shards never contend. A global
-// SPILL list (kFramePoolSpill, acquired under a shard lock) rebalances
-// under byte caps: a shard whose local lists are full parks overflow slabs
-// in the spill instead of freeing them, and a shard whose lists are empty
-// refills from the spill before touching the heap. shards = 1 (the
-// default) reproduces the single-lock pool decision-for-decision.
-//
-// Policy knobs:
-//  * maxBytes — fleet-level cap on bytes the pool manages (outstanding +
-//    parked + spilled). 0 = unlimited. With S shards, each shard parks at
-//    most maxBytes/S locally; overflow goes to the spill, still under the
-//    global cap.
-//  * sessionQuotaBytes — per-session cap on outstanding pooled bytes,
-//    keyed by the sessionTag passed to acquire(). 0 = unlimited.
-//  * shards — free-list shard count (sessionTag % shards). <= 1 (or 0,
-//    "driver default") = the unsharded pool.
-//
-// Backpressure NEVER blocks: when a cap is hit, acquire() falls back to a
-// plain heap bitmap (provenance kHeap) and counts the event. Blocking
-// would make frame capture depend on cross-session timing and break the
-// fleet's W=1 == W=4 determinism; a fallback allocation only costs what
-// the un-pooled code path always paid. Pixel contents are identical either
-// way (every acquire fills the buffer), which is what keeps fig8/Table
-// III/Table VII outputs byte-identical with pooling on or off — and with
-// any shard count. (With shards > 1 the maxBytes cap check reads a relaxed
-// atomic total, so WHICH acquire gets backpressured can vary run to run;
-// that only moves bytes between provenances, never results.)
+// The pool is unbounded: every released slab parks, so its footprint is
+// the high water of concurrently held frames (one or two per session).
+// Pixel contents are identical whether a slab is fresh or recycled (every
+// acquire fills the buffer), which is what keeps fig8/Table III/Table VII
+// outputs byte-identical with pooling on or off.
 //
 // Thread safety: acquire() and slab release may run concurrently from
-// fleet worker threads; each shard's state is guarded by its RankedMutex
-// at LockRank::kFramePool — near-leaf, because slab release runs from
+// fleet worker threads; all state is guarded by one RankedMutex at
+// LockRank::kFramePool — the leaf rank, because slab release runs from
 // arbitrary call depth (any last FramePtr drop) and must stay acquirable
-// under every other runtime lock. The spill sits one rank above
-// (kFramePoolSpill) so it is probed while the shard lock is held. The
-// GUARDED_BY annotations below are enforced by the -Wthread-safety CI
-// lane. The pool must outlive every bitmap it produced (the Fleet declares
-// its pool before its sessions so destruction order guarantees this).
+// under every other runtime lock. The GUARDED_BY annotations below are
+// enforced by the -Wthread-safety CI lane. The pool must outlive every
+// bitmap it produced (the Fleet declares its pool before its sessions so
+// destruction order guarantees this).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -65,33 +37,19 @@ namespace darpa::gfx {
 
 class FramePool {
  public:
-  struct Options {
-    std::size_t maxBytes = 0;          ///< Pool-wide byte cap (0 = unlimited).
-    std::size_t sessionQuotaBytes = 0; ///< Per-sessionTag cap (0 = unlimited).
-    int shards = 1;                    ///< Free-list shards (<= 1: unsharded;
-                                       ///< 0 lets the fleet pick its worker
-                                       ///< count).
-  };
-
-  /// Counters, all monotonic except the gauges, summed across shards.
-  /// outstandingBytes + parkedBytes is the pool's live footprint;
-  /// highWaterBytes is its maximum over the pool's lifetime (the
-  /// steady-state working set the DESIGN.md sizing rule is calibrated
-  /// from; with shards > 1 it is the sum of per-shard high waters, an
-  /// upper bound on the true global peak).
+  /// Counters, all monotonic except the gauges. outstandingBytes +
+  /// parkedBytes is the pool's live footprint; highWaterBytes is its
+  /// maximum over the pool's lifetime (the steady-state working set the
+  /// DESIGN.md sizing rule is calibrated from).
   struct Stats {
     std::int64_t acquires = 0;       ///< All acquire() calls.
-    std::int64_t poolHits = 0;       ///< Served from a free list (or spill).
+    std::int64_t poolHits = 0;       ///< Served from a free list.
     std::int64_t poolMisses = 0;     ///< Pool had to heap-allocate a slab.
-    std::int64_t backpressured = 0;  ///< Cap hit -> plain heap fallback.
     std::int64_t releases = 0;       ///< Slabs returned to the free lists.
     std::size_t outstandingBytes = 0;///< Bytes in live pooled bitmaps.
-    std::size_t parkedBytes = 0;     ///< Bytes parked (shard lists + spill).
+    std::size_t parkedBytes = 0;     ///< Bytes parked in the free lists.
     std::size_t highWaterBytes = 0;  ///< Max outstanding + parked.
     std::int64_t reusedBytes = 0;    ///< Cumulative bytes served from lists.
-    std::int64_t spillIn = 0;        ///< Slabs a full shard parked globally.
-    std::int64_t spillOut = 0;       ///< Slabs a dry shard refilled from it.
-    std::size_t spillParkedBytes = 0;///< Bytes currently in the spill.
 
     [[nodiscard]] double hitRate() const {
       const std::int64_t pooled = poolHits + poolMisses;
@@ -101,26 +59,17 @@ class FramePool {
     }
   };
 
-  FramePool() : FramePool(Options{}) {}
-  explicit FramePool(Options options);
+  FramePool() = default;
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
   ~FramePool() = default;
 
   /// A width x height bitmap filled with `fill`, backed by a recycled slab
   /// when one is available (provenance kPoolReused), a fresh pool slab
-  /// otherwise (kPoolFresh), or a plain heap buffer under backpressure
-  /// (kHeap). `sessionTag` scopes the per-session quota and selects the
-  /// shard. Thread-safe.
+  /// otherwise (kPoolFresh). Thread-safe.
   [[nodiscard]] Bitmap acquire(int width, int height,
-                               Color fill = colors::kBlack,
-                               int sessionTag = 0);
+                               Color fill = colors::kBlack);
 
-  [[nodiscard]] const Options& options() const { return options_; }
-  [[nodiscard]] int shardCount() const {
-    return static_cast<int>(shards_.size());
-  }
-  /// Counters summed across shards + spill, each locked one at a time.
   /// Thread-safe; a consistent total only when the pool is quiescent.
   [[nodiscard]] Stats stats() const;
 
@@ -130,74 +79,31 @@ class FramePool {
   /// list instead of fragmenting into one list per exact size.
   [[nodiscard]] static std::size_t sizeClass(std::size_t pixelCount);
 
-  using FreeLists =
-      std::map<std::size_t, std::vector<std::unique_ptr<PixelSlab>>>;
-
-  /// One shard: the sessions with sessionTag % shards == index.
-  struct Shard {
-    mutable util::RankedMutex mutex{util::LockRank::kFramePool,
-                                    "gfx.FramePool.shard"};
-    /// classPixels -> parked slabs of that capacity class.
-    FreeLists free GUARDED_BY(mutex);
-    /// Outstanding pooled bytes per sessionTag (quota accounting; a tag
-    /// always maps to this one shard, so the quota is exact).
-    std::map<int, std::size_t> sessionBytes GUARDED_BY(mutex);
-    Stats stats GUARDED_BY(mutex);
-
-    void noteFootprintLocked() REQUIRES(mutex) {
-      if (stats.outstandingBytes + stats.parkedBytes > stats.highWaterBytes) {
-        stats.highWaterBytes = stats.outstandingBytes + stats.parkedBytes;
-      }
-    }
-  };
-
-  /// The global overflow tier. Rank kFramePoolSpill: probed while the
-  /// caller's shard lock (kFramePool) is held.
-  struct Spill {
-    mutable util::RankedMutex mutex{util::LockRank::kFramePoolSpill,
-                                    "gfx.FramePool.spill"};
-    FreeLists free GUARDED_BY(mutex);
-    std::size_t parkedBytes GUARDED_BY(mutex) = 0;
-    std::size_t highWaterBytes GUARDED_BY(mutex) = 0;
-    std::int64_t in GUARDED_BY(mutex) = 0;
-    std::int64_t out GUARDED_BY(mutex) = 0;
-  };
-
-  [[nodiscard]] Shard& shardFor(int sessionTag) {
-    const std::size_t tag = static_cast<std::size_t>(
-        sessionTag < 0 ? -(sessionTag + 1) : sessionTag);
-    return *shards_[tag % shards_.size()];
-  }
-
   /// Deleter hook: the last Bitmap/ScreenFrame reference dropped; park the
-  /// slab for reuse (or free it when over cap).
-  void release(std::unique_ptr<PixelSlab> slab, std::size_t classPixels,
-               int sessionTag);
+  /// slab for reuse.
+  void release(std::unique_ptr<PixelSlab> slab, std::size_t classPixels);
 
-  /// shared_ptr deleter carrying the routing info release() needs.
+  /// shared_ptr deleter carrying the size class release() needs.
   struct SlabReturner {
     FramePool* pool;
     std::size_t classPixels;
-    int sessionTag;
     void operator()(PixelSlab* slab) const {
-      pool->release(std::unique_ptr<PixelSlab>(slab), classPixels,
-                    sessionTag);
+      pool->release(std::unique_ptr<PixelSlab>(slab), classPixels);
     }
   };
 
-  Options options_;  ///< Immutable after construction; read without locks.
-  /// Per-shard cap on LOCALLY parked bytes (maxBytes / shards; 0 when
-  /// uncapped). Overflow beyond it spills globally.
-  std::size_t shardParkCap_ = 0;
-  /// outstanding + parked + spilled, pool-wide. Mutated only under some
-  /// shard (or spill) lock, but read for the maxBytes check under a
-  /// DIFFERENT shard's lock, hence atomic. With shards == 1 every access
-  /// is under the single shard lock, so cap decisions are exact — the
-  /// unsharded pool's behavior, decision for decision.
-  std::atomic<std::size_t> totalBytes_{0};
-  /// Fixed after construction; Shard is immovable (RankedMutex).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  Spill spill_;
+  void noteFootprintLocked() REQUIRES(mutex_) {
+    if (stats_.outstandingBytes + stats_.parkedBytes > stats_.highWaterBytes) {
+      stats_.highWaterBytes = stats_.outstandingBytes + stats_.parkedBytes;
+    }
+  }
+
+  mutable util::RankedMutex mutex_{util::LockRank::kFramePool,
+                                   "gfx.FramePool"};
+  /// classPixels -> parked slabs of that capacity class.
+  std::map<std::size_t, std::vector<std::unique_ptr<PixelSlab>>> free_
+      GUARDED_BY(mutex_);
+  Stats stats_ GUARDED_BY(mutex_);
 };
 
 }  // namespace darpa::gfx

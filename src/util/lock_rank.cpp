@@ -15,12 +15,8 @@ const char* lockRankName(LockRank rank) {
       return "session-queue";
     case LockRank::kVerdictTier:
       return "verdict-tier";
-    case LockRank::kStatMerge:
-      return "stat-merge";
     case LockRank::kFramePool:
       return "frame-pool";
-    case LockRank::kFramePoolSpill:
-      return "frame-pool-spill";
   }
   return "unknown";
 }

@@ -2,7 +2,7 @@
 // runtime, validated at runtime.
 //
 // The fleet nests locks (the work-stealing scheduler's control lock over
-// its run-queue shards; frame-pool shard over spill), and nested locking
+// its run-queue shards; a slab release under any of them), and nested locking
 // deadlocks silently the first time two threads acquire the same pair in
 // opposite orders. This module makes the ordering a checked contract
 // instead of a convention:
@@ -57,23 +57,14 @@ enum class LockRank : int {
   kSessionQueue = 200,
   /// Fleet-wide shared verdict tier stripes (core::SharedVerdictTier).
   /// All shards share this rank (at most one shard lock held at a time;
-  /// nothing is called out to under it). Below kStatMerge and the
-  /// frame-pool ranks so a tier operation can never be entangled with a
-  /// retirement fold or a slab release.
+  /// nothing is called out to under it). Below kFramePool so a slab
+  /// release is legal under a tier stripe.
   kVerdictTier = 400,
-  /// Sharded stat-merge locks (core::StatMergeShards): sessions fold their
-  /// stats/ledger at retirement, snapshots read shards one at a time.
-  kStatMerge = 500,
-  /// gfx::FramePool per-shard free lists. Near-leaf: slab release runs
-  /// from arbitrary call depth (any last FramePtr drop, on any thread,
-  /// possibly while a scheduler or tier lock is held), so the pool
-  /// locks must be acquirable under everything else. All shards share this
-  /// rank; a thread holds at most one shard lock at a time.
+  /// gfx::FramePool's free lists. The leaf: slab release runs from
+  /// arbitrary call depth (any last FramePtr drop, on any thread, possibly
+  /// while a scheduler or tier lock is held), so the pool lock must be
+  /// acquirable under everything else.
   kFramePool = 600,
-  /// gfx::FramePool global spill list — the overflow tier behind the
-  /// per-shard free lists. Strictly above kFramePool because the spill is
-  /// probed while the caller's shard lock is held.
-  kFramePoolSpill = 650,
 };
 
 [[nodiscard]] const char* lockRankName(LockRank rank);

@@ -1,5 +1,5 @@
 // Tests for the zero-copy perception data plane: FramePool recycling,
-// quota/cap backpressure, ScreenFrame immutability against later screen
+// footprint gauges, ScreenFrame immutability against later screen
 // mutations, fingerprint stability across pooled reuse, and thread safety
 // of concurrent acquire/release (exercised under TSan by scripts/ci.sh).
 #include <gtest/gtest.h>
@@ -35,7 +35,6 @@ TEST(FramePoolTest, ReusesSlabAfterRelease) {
   EXPECT_EQ(stats.acquires, 2);
   EXPECT_EQ(stats.poolMisses, 1);
   EXPECT_EQ(stats.poolHits, 1);
-  EXPECT_EQ(stats.backpressured, 0);
   EXPECT_EQ(stats.releases, 1);
   EXPECT_DOUBLE_EQ(stats.hitRate(), 0.5);
 }
@@ -48,49 +47,6 @@ TEST(FramePoolTest, SizeClassesShareSlabsAcrossNearbySizes) {
   EXPECT_EQ(b.source(), SlabSource::kPoolReused);
   EXPECT_EQ(b.pixelCount(), 4000u);
   EXPECT_EQ(b.at(49, 79), colors::kBlack);
-}
-
-TEST(FramePoolTest, SessionQuotaFallsBackToHeapAndRecovers) {
-  // One 64x64 slab (4096 px * 4 B) exactly fills the per-session quota.
-  FramePool pool({/*maxBytes=*/0, /*sessionQuotaBytes=*/4096 * sizeof(Color)});
-  Bitmap held = pool.acquire(64, 64, colors::kBlack, /*sessionTag=*/7);
-  EXPECT_EQ(held.source(), SlabSource::kPoolFresh);
-
-  // Same session over quota: plain heap, never blocking.
-  const Bitmap overflow = pool.acquire(64, 64, colors::kRed, /*sessionTag=*/7);
-  EXPECT_EQ(overflow.source(), SlabSource::kHeap);
-  EXPECT_EQ(overflow.at(0, 0), colors::kRed);  // contents unaffected
-  EXPECT_EQ(pool.stats().backpressured, 1);
-
-  // Quotas are per session: another tag still gets pooled slabs.
-  const Bitmap other = pool.acquire(64, 64, colors::kBlack, /*sessionTag=*/8);
-  EXPECT_EQ(other.source(), SlabSource::kPoolFresh);
-
-  // Releasing the held slab frees the quota; the session pools again.
-  held = Bitmap{};
-  const Bitmap after = pool.acquire(64, 64, colors::kBlack, /*sessionTag=*/7);
-  EXPECT_EQ(after.source(), SlabSource::kPoolReused);
-  EXPECT_EQ(pool.stats().backpressured, 1);  // no new fallback
-}
-
-TEST(FramePoolTest, MaxBytesCapsFootprintButParkedSlabsStillServe) {
-  // Cap fits exactly one 64x64 slab.
-  FramePool pool({/*maxBytes=*/4096 * sizeof(Color), /*sessionQuotaBytes=*/0});
-  Bitmap held = pool.acquire(64, 64);
-  EXPECT_EQ(held.source(), SlabSource::kPoolFresh);
-
-  const Bitmap overflow = pool.acquire(64, 64);
-  EXPECT_EQ(overflow.source(), SlabSource::kHeap);
-  EXPECT_EQ(pool.stats().backpressured, 1);
-
-  // A parked slab is already inside the footprint, so reusing it never
-  // counts against the cap.
-  held = Bitmap{};
-  const Bitmap reused = pool.acquire(64, 64);
-  EXPECT_EQ(reused.source(), SlabSource::kPoolReused);
-
-  const FramePool::Stats stats = pool.stats();
-  EXPECT_LE(stats.highWaterBytes, pool.options().maxBytes);
 }
 
 TEST(FramePoolTest, StatsTrackFootprintGauges) {
@@ -115,7 +71,7 @@ TEST(FramePoolTest, StatsTrackFootprintGauges) {
 TEST(FramePoolTest, FrameIsImmutableWhileDecorationIsDrawn) {
   FramePool pool;
   android::WindowManager wm;
-  wm.setFramePool(&pool, /*sessionTag=*/0);
+  wm.setFramePool(&pool);
   auto content = std::make_unique<android::View>();
   content->setBackground(colors::kWhite);
   wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/true);
@@ -151,7 +107,7 @@ TEST(FramePoolTest, FrameIsImmutableWhileDecorationIsDrawn) {
 TEST(FramePoolTest, FingerprintsStableAcrossPooledReuse) {
   FramePool pool;
   android::WindowManager wm;
-  wm.setFramePool(&pool, /*sessionTag=*/0);
+  wm.setFramePool(&pool);
   auto content = std::make_unique<android::View>();
   content->setBackground(colors::kLightGray);
   wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/false);
@@ -203,17 +159,16 @@ TEST(FramePoolTest, FrameReleaseReturnsSlabToPool) {
 // the sanitizer lane. Correctness claim: counters reconcile and nothing
 // leaks once every bitmap is dropped.
 TEST(FramePoolTest, ConcurrentAcquireReleaseIsSafe) {
-  FramePool pool({/*maxBytes=*/64 * 4096 * sizeof(Color),
-                  /*sessionQuotaBytes=*/8 * 4096 * sizeof(Color)});
+  FramePool pool;
   constexpr int kThreads = 4;
   constexpr int kIterations = 500;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, t] {
+    threads.emplace_back([&pool] {
       for (int i = 0; i < kIterations; ++i) {
         const int side = 16 + (i % 48);
-        const Bitmap bmp = pool.acquire(side, side, colors::kBlack, t);
+        const Bitmap bmp = pool.acquire(side, side, colors::kBlack);
         ASSERT_EQ(bmp.at(side - 1, side - 1), colors::kBlack);
       }
     });
@@ -222,8 +177,7 @@ TEST(FramePoolTest, ConcurrentAcquireReleaseIsSafe) {
 
   const FramePool::Stats stats = pool.stats();
   EXPECT_EQ(stats.acquires, kThreads * kIterations);
-  EXPECT_EQ(stats.acquires,
-            stats.poolHits + stats.poolMisses + stats.backpressured);
+  EXPECT_EQ(stats.acquires, stats.poolHits + stats.poolMisses);
   EXPECT_EQ(stats.outstandingBytes, 0u);
   EXPECT_EQ(stats.releases, stats.poolHits + stats.poolMisses);
 }

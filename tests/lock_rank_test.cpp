@@ -96,9 +96,7 @@ TEST(LockRankTest, RankNamesCoverTheTable) {
   EXPECT_STREQ(lockRankName(LockRank::kFleetControl), "fleet-control");
   EXPECT_STREQ(lockRankName(LockRank::kSessionQueue), "session-queue");
   EXPECT_STREQ(lockRankName(LockRank::kVerdictTier), "verdict-tier");
-  EXPECT_STREQ(lockRankName(LockRank::kStatMerge), "stat-merge");
   EXPECT_STREQ(lockRankName(LockRank::kFramePool), "frame-pool");
-  EXPECT_STREQ(lockRankName(LockRank::kFramePoolSpill), "frame-pool-spill");
 }
 
 // ------------------------------------------------- fleet rank smoke (W=4)
@@ -116,9 +114,9 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
   // A pooled, tiered fleet at W=4 exercises every ranked lock in the
   // runtime concurrently: the scheduler's control and run-queue locks,
   // verdict-tier stripes probed and published from four session workers,
-  // FramePool acquire/release from captures and §IV-E scrubs, and the
-  // retirement folds — all while the rank validator is live on every
-  // thread. An ordering violation anywhere would abort the run.
+  // and FramePool acquire/release from captures and §IV-E scrubs — all
+  // while the rank validator is live on every thread. An ordering
+  // violation anywhere would abort the run.
   SmokeDetector detector;
   core::InlineExecutor executor;
   fleet::FleetConfig config;
@@ -132,23 +130,21 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
 
   // The runtime's lock population carries the documented ranks: the
   // scheduler's global control lock and one run-queue shard per worker,
-  // one verdict-tier stripe and one stat-merge shard per worker, and the
-  // shared pool at the near-leaf kFramePool.
+  // one verdict-tier stripe per worker, and the shared pool's one lock at
+  // the leaf kFramePool.
   auto& registry = LockRankRegistry::instance();
   EXPECT_GE(registry.liveCount(LockRank::kFleetControl), 1);
   EXPECT_GE(registry.liveCount(LockRank::kSessionQueue), 4);
   EXPECT_GE(registry.liveCount(LockRank::kVerdictTier), 4);
-  EXPECT_GE(registry.liveCount(LockRank::kStatMerge), 4);
   EXPECT_GE(registry.liveCount(LockRank::kFramePool), 1);
-  // Control nests over the run-queue shards while enqueuing; the tier sits
-  // below the stat-merge and frame-pool leaves so a slab release is legal
-  // under any other lock.
+  // Control nests over the run-queue shards while enqueuing; the pool is
+  // the leaf, so a slab release is legal under any other lock.
   EXPECT_LT(static_cast<int>(LockRank::kFleetControl),
             static_cast<int>(LockRank::kSessionQueue));
-  EXPECT_LT(static_cast<int>(LockRank::kVerdictTier),
-            static_cast<int>(LockRank::kStatMerge));
+  EXPECT_LT(static_cast<int>(LockRank::kSessionQueue),
+            static_cast<int>(LockRank::kVerdictTier));
   EXPECT_GT(static_cast<int>(LockRank::kFramePool),
-            static_cast<int>(LockRank::kStatMerge));
+            static_cast<int>(LockRank::kVerdictTier));
 
   fleet.run();
   const fleet::FleetSnapshot snap = fleet.snapshot();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -216,6 +218,80 @@ TEST(WebViewTest, PaintsPageThroughSharedCanvasPrimitives) {
   // Plate at page (10,10) -> window (10,10) -> screen (+frame origin).
   EXPECT_EQ(shot.at(frame.x + 40, frame.y + 40), colors::kRed);
   EXPECT_EQ(shot.at(frame.x + 150, frame.y + 150), colors::kWhite);
+}
+
+// A hostile page: the tree is page-controlled, so setPage fails closed on
+// bounds that would overflow screen-space arithmetic and on opacity that
+// would poison alpha math. Every downstream consumer then runs on the
+// sanitized tree (the sanitizer lane runs this under UBSan).
+TEST(WebViewTest, HostilePageBoundsAndOpacityFailClosed) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  VirtualNode page = vnode(VirtualRole::kWebArea, "page", {0, 0, 280, 400});
+  VirtualNode overflowX = vnode(VirtualRole::kButton, "overflow-x",
+                                {kIntMax - 4, 10, 16, 16}, true, "X");
+  overflowX.children.push_back(
+      vnode(VirtualRole::kStaticText, "overflow-child", {0, 0, 10, 10}));
+  page.children.push_back(std::move(overflowX));
+  page.children.push_back(vnode(VirtualRole::kButton, "overflow-y",
+                                {10, kIntMax - 4, 16, 16}, true));
+  page.children.push_back(
+      vnode(VirtualRole::kGenericContainer, "negative", {10, 10, -5, 20}));
+  page.children.push_back(
+      vnode(VirtualRole::kGenericContainer, "zero", {20, 20, 0, 0}, true));
+  VirtualNode nanOpacity =
+      vnode(VirtualRole::kImage, "nan", {0, 0, 200, 200}, true);
+  nanOpacity.opacity = std::numeric_limits<double>::quiet_NaN();
+  nanOpacity.background = colors::kRed;
+  page.children.push_back(std::move(nanOpacity));
+  VirtualNode loud =
+      vnode(VirtualRole::kGenericContainer, "loud", {0, 200, 100, 100});
+  loud.opacity = std::numeric_limits<double>::infinity();
+  loud.background = colors::kBlue;
+  page.children.push_back(std::move(loud));
+
+  android::AndroidSystem system;
+  const Rect frame = system.windowManager.appFrame(false);
+  WebView* web = nullptr;
+  auto root = webScreen({frame.width, frame.height}, {0, 0, 280, 400},
+                        std::move(page), &web);
+  // The two overflowing nodes and the negative-size one are dropped (the
+  // overflowing node's child goes with it, uncounted); the 0x0 node stays.
+  EXPECT_EQ(web->rejectedVirtualNodes(), 3);
+  EXPECT_EQ(web->virtualNodeCount(), 4);
+  EXPECT_EQ(web->findVirtual("overflow-x"), nullptr);
+  EXPECT_EQ(web->findVirtual("overflow-child"), nullptr);
+  EXPECT_EQ(web->findVirtual("negative"), nullptr);
+  ASSERT_NE(web->findVirtual("zero"), nullptr);
+  ASSERT_NE(web->findVirtual("nan"), nullptr);
+  EXPECT_EQ(web->findVirtual("nan")->opacity, 0.0);
+  EXPECT_EQ(web->findVirtual("loud")->opacity, 1.0);
+  system.windowManager.showAppWindow("com.web", std::move(root), false);
+
+  const UiDump dump = system.windowManager.dumpTopWindow();
+  EXPECT_EQ(findVirtualNode(dump, "overflow-x"), nullptr);
+  for (const UiNode& node : dump) EXPECT_FALSE(std::isnan(node.effAlpha));
+  const analysis::LintEngine engine = analysis::LintEngine::withDefaultRules();
+  const analysis::LintReport report =
+      engine.run(dump, system.windowManager.config().screenSize);
+  EXPECT_GT(report.nodesVisited, 0);
+  EXPECT_NE(android::WindowManager::fingerprint(dump), 0u);
+
+  // The NaN-opacity node is transparent, so it neither takes clicks nor
+  // paints; the +inf node paints fully opaque.
+  EXPECT_EQ(web->hitTest({50, 50}), nullptr);
+  const gfx::Bitmap shot = system.windowManager.composite();
+  EXPECT_EQ(shot.at(frame.x + 50, frame.y + 50), colors::kWhite);
+  EXPECT_EQ(shot.at(frame.x + 50, frame.y + 250), colors::kBlue);
+
+  // A rejected root drops the whole page.
+  VirtualNode badRoot =
+      vnode(VirtualRole::kWebArea, "page", {-kIntMax, 0, 10, 10});
+  badRoot.children.push_back(
+      vnode(VirtualRole::kGenericContainer, "child", {0, 0, 10, 10}));
+  web->setPage(std::move(badRoot));
+  EXPECT_FALSE(web->hasPage());
+  EXPECT_EQ(web->rejectedVirtualNodes(), 1);
+  EXPECT_EQ(web->virtualNodeCount(), 0);
 }
 
 // ------------------------------------- fingerprint property (satellite 1)
