@@ -10,7 +10,8 @@
 //     reorganization, not an approximation).
 //  3. Zero steady-state allocations — after one warm-up pass per frame
 //     size, repeated batched detects never grow the thread's scratch
-//     arenas (descriptor matrix, GEMM ping-pong buffers, feature planes).
+//     arenas (cell plan, descriptor tile, activation planes, feature
+//     planes).
 //
 // Results land in BENCH_detector.json (throughput, ns/candidate,
 // allocs/frame) for trend tracking.

@@ -116,8 +116,9 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
   echo "== perf floor gate (BENCH_detector.json) =="
   # Hard floor on the head's batched throughput and the end-to-end batched
   # detect: fail the lane when either runs slower than half the measured
-  # fp32 speed (ceilings are 2x the numbers measured on a 4-core AVX2
-  # Xeon: fp32 batched ~198 ns/candidate, batched detect ~8.5 ms/image).
+  # fp32 speed (ceilings are 2x the medians of six --quick runs on a
+  # 4-core AVX-512 Xeon VM: fp32 batched ~103 ns/candidate, batched detect
+  # ~5.4 ms/image; the pre-tile-kernel code read ~250 ns and ~11 ms).
   # Absolute ceilings deliberately complement the bench's
   # in-run speedup ratios, whose scalar denominators are
   # link-layout-sensitive. Deliberately loose enough to absorb machine
@@ -127,8 +128,8 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
 import json, sys
 
 d = json.load(open("BENCH_detector.json"))
-checks = [("forward_batched_ns_per_candidate", 400.0, "ns"),
-          ("detect_batched_ms_per_image", 17.0, "ms")]
+checks = [("forward_batched_ns_per_candidate", 200.0, "ns"),
+          ("detect_batched_ms_per_image", 11.0, "ms")]
 failed = False
 for key, ceiling, unit in checks:
     value = d.get(key)

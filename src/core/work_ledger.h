@@ -102,7 +102,8 @@ struct StageTally {
   std::int64_t pooledBytes = 0;    ///< Bytes served without heap traffic.
 
   // Scratch-arena axis: warm-up growths of the detector hot path's reusable
-  // buffers (descriptor matrix, GEMM activations, feature planes). Kept
+  // buffers (cell plan, descriptor tile, activation planes, feature
+  // planes). Kept
   // apart from the allocation axis above so scratch warm-up can never
   // perturb peakFrameBytes or the frame-pool economy contract.
   std::int64_t scratchGrowths = 0;

@@ -15,8 +15,11 @@ namespace {
 
 // Integer luma 299r + 587g + 114b: exact in int32 (max 255'000), so window
 // sums over it are associative and the separable sliding-window contrast
-// pass is bit-identical to the naive 25-tap reference. The float channel
-// value divides by 255'000, matching luma()/255 up to the scale.
+// pass is bit-identical to the naive 25-tap reference. The float luma plane
+// is float(intLuma / 255'000.0), which equals float(luma(c) / 255.0) for
+// every one of the 2^24 colours (FeatureLumaTest checks them all), so the
+// luma and edge channels keep the double-luma definition without its three
+// double multiplies per pixel.
 inline std::int32_t intLuma(Color c) {
   return 299 * c.r + 587 * c.g + 114 * c.b;
 }
@@ -30,8 +33,9 @@ struct FeatureScratch {
   std::vector<std::int32_t> lumaI;  ///< Integer luma plane (contrast input).
   std::vector<std::int32_t> hsum;   ///< Horizontal 5-tap sums, full plane.
   std::vector<std::int32_t> vsum;   ///< Vertical sliding sums, one row.
-  /// Retired integral-plane buffers, recycled by the next FeatureMap on
-  /// this thread (bounded; see ~FeatureMap).
+  std::vector<float> values;        ///< One row of each channel's values.
+  /// Retired integral buffers, recycled by the next FeatureMap on this
+  /// thread (bounded; see ~FeatureMap).
   std::vector<std::vector<double>> planePool;
   FeatureScratchStats stats;
 
@@ -54,6 +58,17 @@ FeatureScratch& featureScratch() {
   return scratch;
 }
 
+/// Sobel magnitude at one pixel from clamped neighbour indices — the
+/// reference lumaAt() expression tree, so every value is bit-equal.
+inline float edgeAt(const float* up, const float* mid, const float* dn, int x,
+                    int xl, int xr) {
+  const float gx = (up[xr] + 2 * mid[xr] + dn[xr]) -
+                   (up[xl] + 2 * mid[xl] + dn[xl]);
+  const float gy = (dn[xl] + 2 * dn[x] + dn[xr]) -
+                   (up[xl] + 2 * up[x] + up[xr]);
+  return std::min(std::sqrt(gx * gx + gy * gy) / 4.0f, 1.0f);
+}
+
 }  // namespace
 
 const FeatureScratchStats& featureScratchStats() {
@@ -72,7 +87,8 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       std::max(screenshot.height() / scale_, 1));
   width_ = small.width();
   height_ = small.height();
-  planeStride_ = static_cast<std::size_t>(width_ + 1) * (height_ + 1);
+  const int w = width_;
+  const int h = height_;
 
   const bool wantLuma = channels_.enabled(Channel::kLuma);
   const bool wantEdge = channels_.enabled(Channel::kEdge);
@@ -83,15 +99,16 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
   FeatureScratch& s = featureScratch();
   ++s.stats.frames;
 
-  // Integral planes: recycle a retired buffer when one is pooled, and zero
-  // only what the fused pass will not overwrite — row 0 and column 0 of
-  // enabled planes (the integral borders), whole planes of disabled
-  // channels. A cold buffer is a counted growth like any other arena.
+  // Integral cells: recycle a retired buffer when one is pooled. The prefix
+  // pass below writes every cell of rows 1..h and columns 1..w (a disabled
+  // channel sums zeros), so only row 0 and column 0 need zeroing. A cold
+  // buffer is a counted growth like any other arena.
   if (!s.planePool.empty()) {
     integrals_ = std::move(s.planePool.back());
     s.planePool.pop_back();
   }
-  const std::size_t need = kChannelCount * planeStride_;
+  const std::size_t rowCells = static_cast<std::size_t>(w + 1) * kChannelCount;
+  const std::size_t need = rowCells * static_cast<std::size_t>(h + 1);
   const std::size_t beforeCap = integrals_.capacity();
   if (need > beforeCap) {
     integrals_.reserve(need);
@@ -100,68 +117,27 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
         (integrals_.capacity() - beforeCap) * sizeof(double));
   }
   integrals_.resize(need);
-  for (int c = 0; c < kChannelCount; ++c) {
-    double* plane = integrals_.data() + static_cast<std::size_t>(c) * planeStride_;
-    if (channels_.enabled(static_cast<Channel>(c))) {
-      std::fill(plane, plane + width_ + 1, 0.0);  // row 0
-      for (int y = 1; y <= height_; ++y) {        // column 0
-        plane[static_cast<std::size_t>(y) * (width_ + 1)] = 0.0;
-      }
-    } else {
-      std::fill(plane, plane + planeStride_, 0.0);
-    }
+  std::fill(integrals_.data(), integrals_.data() + rowCells, 0.0);  // row 0
+  for (int y = 1; y <= h; ++y) {                                     // col 0
+    double* cell = integrals_.data() + static_cast<std::size_t>(y) * rowCells;
+    std::fill(cell, cell + kChannelCount, 0.0);
   }
 
-  const std::size_t n = static_cast<std::size_t>(width_) * height_;
+  const std::size_t n = static_cast<std::size_t>(w) * h;
   // The luma planes always exist: edge and contrast derive from luma even
-  // when the luma channel itself is disabled (only its integral is zeroed).
+  // when the luma channel itself is disabled.
   float* lumaF = s.ensure(s.lumaF, n);
   std::int32_t* lumaI = s.ensure(s.lumaI, n);
-
-  double* lumaInt = integrals_.data();
-  double* edgeInt = integrals_.data() + 1 * planeStride_;
-  double* contrastInt = integrals_.data() + 2 * planeStride_;
-  double* satInt = integrals_.data() + 3 * planeStride_;
-  double* salInt = integrals_.data() + 4 * planeStride_;
-  const std::size_t stride = static_cast<std::size_t>(width_) + 1;
-
-  // Global mean color for the saliency channel.
-  const Color meanColor = small.meanColor(small.bounds());
-
-  // Pass 1 — everything with no neighborhood dependence, fused into one
-  // traversal: both luma planes, saturation, saliency, and their integral
-  // rows (disabled channels skip the work; their integrals stay zero).
-  for (int y = 0; y < height_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    const std::size_t iUp = static_cast<std::size_t>(y) * stride;
-    const std::size_t iDn = static_cast<std::size_t>(y + 1) * stride;
-    double rowLuma = 0.0, rowSat = 0.0, rowSal = 0.0;
-    for (int x = 0; x < width_; ++x) {
-      const Color c = small.at(x, y);
-      const float lf = static_cast<float>(luma(c) / 255.0);
-      lumaF[row + x] = lf;
-      lumaI[row + x] = intLuma(c);
-      if (wantLuma) {
-        rowLuma += lf;
-        lumaInt[iDn + x + 1] = lumaInt[iUp + x + 1] + rowLuma;
-      }
-      if (wantSat) {
-        const int mx = std::max({c.r, c.g, c.b});
-        const int mn = std::min({c.r, c.g, c.b});
-        rowSat += static_cast<float>(mx - mn) / 255.0f;
-        satInt[iDn + x + 1] = satInt[iUp + x + 1] + rowSat;
-      }
-      if (wantSal) {
-        const float dr = static_cast<float>(c.r - meanColor.r);
-        const float dg = static_cast<float>(c.g - meanColor.g);
-        const float db = static_cast<float>(c.b - meanColor.b);
-        rowSal += std::sqrt(dr * dr + dg * dg + db * db) / 442.0f;
-        salInt[iDn + x + 1] = salInt[iUp + x + 1] + rowSal;
-      }
+  for (int y = 0; y < h; ++y) {
+    const Color* px = small.row(y);
+    std::int32_t* __restrict li = lumaI + static_cast<std::size_t>(y) * w;
+    float* __restrict lf = lumaF + static_cast<std::size_t>(y) * w;
+    for (int x = 0; x < w; ++x) {
+      li[x] = intLuma(px[x]);
+      lf[x] = static_cast<float>(li[x] / kIntLumaScale);
     }
   }
 
-  if (wantEdge || wantContrast) {
   // Contrast pre-pass: horizontal 5-tap sliding sums of integer luma per
   // row (clamped columns), then a vertical sliding sum over those rows.
   // Integer sums are exact, so the incremental updates are bit-identical
@@ -170,75 +146,121 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
   std::int32_t* vsum = nullptr;
   if (wantContrast) {
     hsum = s.ensure(s.hsum, n);
-    for (int y = 0; y < height_; ++y) {
-      const std::int32_t* L = lumaI + static_cast<std::size_t>(y) * width_;
-      std::int32_t* H = hsum + static_cast<std::size_t>(y) * width_;
-      auto at = [&](int x) { return L[std::clamp(x, 0, width_ - 1)]; };
-      std::int32_t window = at(-2) + at(-1) + at(0) + at(1) + at(2);
-      H[0] = window;
-      for (int x = 1; x < width_; ++x) {
-        window += at(x + 2) - at(x - 3);
-        H[x] = window;
+    for (int y = 0; y < h; ++y) {
+      const std::int32_t* __restrict L = lumaI + static_cast<std::size_t>(y) * w;
+      std::int32_t* __restrict H = hsum + static_cast<std::size_t>(y) * w;
+      const auto at = [&](int x) { return L[std::clamp(x, 0, w - 1)]; };
+      const auto clamped = [&](int x) {
+        return at(x - 2) + at(x - 1) + at(x) + at(x + 1) + at(x + 2);
+      };
+      // Columns whose window stays inside the row need no clamp.
+      for (int x = 2; x < w - 2; ++x) {
+        H[x] = L[x - 2] + L[x - 1] + L[x] + L[x + 1] + L[x + 2];
       }
+      for (int x = 0; x < std::min(2, w); ++x) H[x] = clamped(x);
+      for (int x = std::max(w - 2, 2); x < w; ++x) H[x] = clamped(x);
     }
-    vsum = s.ensure(s.vsum, static_cast<std::size_t>(width_));
-    for (int x = 0; x < width_; ++x) {
+    vsum = s.ensure(s.vsum, static_cast<std::size_t>(w));
+    for (int x = 0; x < w; ++x) {
       std::int32_t v = 0;
       for (int dy = -2; dy <= 2; ++dy) {
-        const int yy = std::clamp(dy, 0, height_ - 1);
-        v += hsum[static_cast<std::size_t>(yy) * width_ + x];
+        const int yy = std::clamp(dy, 0, h - 1);
+        v += hsum[static_cast<std::size_t>(yy) * w + x];
       }
       vsum[x] = v;
     }
   }
 
-  // Pass 2 — edge (Sobel over float luma; clamped row pointers + clamped
-  // columns reproduce the reference lumaAt() lambda's values exactly) and
-  // contrast, with their integral rows, in one traversal.
-  for (int y = 0; y < height_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    const std::size_t iUp = static_cast<std::size_t>(y) * stride;
-    const std::size_t iDn = static_cast<std::size_t>(y + 1) * stride;
-    const float* rowUp =
-        lumaF + static_cast<std::size_t>(std::max(y - 1, 0)) * width_;
-    const float* rowMid = lumaF + row;
-    const float* rowDn =
-        lumaF + static_cast<std::size_t>(std::min(y + 1, height_ - 1)) * width_;
-    double rowEdge = 0.0, rowContrast = 0.0;
-    for (int x = 0; x < width_; ++x) {
-      if (wantEdge) {
-        const int xl = std::max(x - 1, 0);
-        const int xr = std::min(x + 1, width_ - 1);
-        const float gx = (rowUp[xr] + 2 * rowMid[xr] + rowDn[xr]) -
-                         (rowUp[xl] + 2 * rowMid[xl] + rowDn[xl]);
-        const float gy = (rowDn[xl] + 2 * rowDn[x] + rowDn[xr]) -
-                         (rowUp[xl] + 2 * rowUp[x] + rowUp[xr]);
-        rowEdge += std::min(std::sqrt(gx * gx + gy * gy) / 4.0f, 1.0f);
-        edgeInt[iDn + x + 1] = edgeInt[iUp + x + 1] + rowEdge;
+  // Global mean color for the saliency channel.
+  const Color meanColor = small.meanColor(small.bounds());
+
+  // Per row: each channel's values into its own float row (plain loops over
+  // x, no cross-channel state, so they vectorize), then one prefix pass
+  // that accumulates all five into the interleaved integral cells. A
+  // disabled channel's row is zeros, so its integral reads zero.
+  float* values = s.ensure(s.values, static_cast<std::size_t>(w) * kChannelCount);
+  float* __restrict vLuma = values;
+  float* __restrict vEdge = values + w;
+  float* __restrict vContrast = values + 2 * static_cast<std::size_t>(w);
+  float* __restrict vSat = values + 3 * static_cast<std::size_t>(w);
+  float* __restrict vSal = values + 4 * static_cast<std::size_t>(w);
+  for (int y = 0; y < h; ++y) {
+    const std::size_t row = static_cast<std::size_t>(y) * w;
+    if (wantLuma) {
+      std::copy(lumaF + row, lumaF + row + w, vLuma);
+    } else {
+      std::fill(vLuma, vLuma + w, 0.0f);
+    }
+    if (wantEdge) {
+      // Clamped row pointers + clamped columns reproduce the reference
+      // lumaAt() exactly; interior columns need no clamp.
+      const float* up = lumaF + static_cast<std::size_t>(std::max(y - 1, 0)) * w;
+      const float* mid = lumaF + row;
+      const float* dn =
+          lumaF + static_cast<std::size_t>(std::min(y + 1, h - 1)) * w;
+      for (int x = 1; x < w - 1; ++x) {
+        vEdge[x] = edgeAt(up, mid, dn, x, x - 1, x + 1);
       }
-      if (wantContrast) {
-        // |luma - mean(5x5)| = |25*luma - windowSum| / (25 * lumaScale),
-        // exact integers until the final division.
-        const std::int64_t diff =
-            25LL * lumaI[row + x] - static_cast<std::int64_t>(vsum[x]);
-        rowContrast += static_cast<float>(
+      vEdge[0] = edgeAt(up, mid, dn, 0, 0, std::min(1, w - 1));
+      vEdge[w - 1] = edgeAt(up, mid, dn, w - 1, std::max(w - 2, 0), w - 1);
+    } else {
+      std::fill(vEdge, vEdge + w, 0.0f);
+    }
+    if (wantContrast) {
+      // |luma - mean(5x5)| = |25*luma - windowSum| / (25 * lumaScale),
+      // exact integers (|diff| <= 6'375'000) until the final division.
+      const std::int32_t* L = lumaI + row;
+      for (int x = 0; x < w; ++x) {
+        const std::int32_t diff = 25 * L[x] - vsum[x];
+        vContrast[x] = static_cast<float>(
             static_cast<double>(diff < 0 ? -diff : diff) /
             (25.0 * kIntLumaScale));
-        contrastInt[iDn + x + 1] = contrastInt[iUp + x + 1] + rowContrast;
+      }
+      // Slide the vertical window down one row: add the row entering the
+      // window, drop the row leaving it (both clamped).
+      if (y + 1 < h) {
+        const std::int32_t* add =
+            hsum + static_cast<std::size_t>(std::clamp(y + 3, 0, h - 1)) * w;
+        const std::int32_t* drop =
+            hsum + static_cast<std::size_t>(std::clamp(y - 2, 0, h - 1)) * w;
+        for (int x = 0; x < w; ++x) vsum[x] += add[x] - drop[x];
+      }
+    } else {
+      std::fill(vContrast, vContrast + w, 0.0f);
+    }
+    if (wantSat || wantSal) {
+      const Color* px = small.row(y);
+      for (int x = 0; x < w; ++x) {
+        const Color c = px[x];
+        const int mx = std::max({c.r, c.g, c.b});
+        const int mn = std::min({c.r, c.g, c.b});
+        vSat[x] = static_cast<float>(mx - mn) / 255.0f;
+        const float dr = static_cast<float>(c.r - meanColor.r);
+        const float dg = static_cast<float>(c.g - meanColor.g);
+        const float db = static_cast<float>(c.b - meanColor.b);
+        vSal[x] = std::sqrt(dr * dr + dg * dg + db * db) / 442.0f;
       }
     }
-    // Slide the vertical window down one row: add the row entering the
-    // window, drop the row leaving it (both clamped).
-    if (wantContrast && y + 1 < height_) {
-      const std::int32_t* add =
-          hsum + static_cast<std::size_t>(std::clamp(y + 3, 0, height_ - 1)) *
-                     width_;
-      const std::int32_t* drop =
-          hsum + static_cast<std::size_t>(std::clamp(y - 2, 0, height_ - 1)) *
-                     width_;
-      for (int x = 0; x < width_; ++x) vsum[x] += add[x] - drop[x];
+    if (!wantSat) std::fill(vSat, vSat + w, 0.0f);
+    if (!wantSal) std::fill(vSal, vSal + w, 0.0f);
+
+    // Prefix pass: per channel, the row's running sum in double plus the
+    // cell above — the reference integral recurrence.
+    const double* above = integrals_.data() +
+                          static_cast<std::size_t>(y) * rowCells + kChannelCount;
+    double* out = integrals_.data() +
+                  static_cast<std::size_t>(y + 1) * rowCells + kChannelCount;
+    double run[kChannelCount] = {};
+    for (int x = 0; x < w; ++x) {
+      run[0] += vLuma[x];
+      run[1] += vEdge[x];
+      run[2] += vContrast[x];
+      run[3] += vSat[x];
+      run[4] += vSal[x];
+      for (int c = 0; c < kChannelCount; ++c) out[c] = above[c] + run[c];
+      above += kChannelCount;
+      out += kChannelCount;
     }
-  }
   }
 
   // Map-constant context cues, cached once: per-channel global means and the
@@ -270,28 +292,35 @@ FeatureMap::~FeatureMap() {
   }
 }
 
+namespace {
+
+/// toCells along one axis: the clipped cell interval [lo, lo + len) of the
+/// full-res extent [start, start + length).
+struct CellSpan {
+  int lo = 0;
+  int len = 0;
+};
+CellSpan cellSpan(int start, int length, int scale, int cells) {
+  const int lo = std::clamp(start / scale, 0, cells);
+  const int hi = std::clamp((start + length + scale - 1) / scale, 0, cells);
+  return {lo, std::max(hi - lo, 0)};
+}
+
+}  // namespace
+
 Rect FeatureMap::toCells(const Rect& fullResRect) const {
-  const int x0 = std::clamp(fullResRect.x / scale_, 0, width_);
-  const int y0 = std::clamp(fullResRect.y / scale_, 0, height_);
-  const int x1 = std::clamp((fullResRect.right() + scale_ - 1) / scale_, 0, width_);
-  const int y1 =
-      std::clamp((fullResRect.bottom() + scale_ - 1) / scale_, 0, height_);
-  return {x0, y0, std::max(x1 - x0, 0), std::max(y1 - y0, 0)};
+  const CellSpan x = cellSpan(fullResRect.x, fullResRect.width, scale_, width_);
+  const CellSpan y =
+      cellSpan(fullResRect.y, fullResRect.height, scale_, height_);
+  return {x.lo, y.lo, x.len, y.len};
 }
 
 double FeatureMap::integralSum(int channel, const Rect& cells) const {
   if (cells.empty()) return 0.0;
-  const double* integral =
-      integrals_.data() + static_cast<std::size_t>(channel) * planeStride_;
-  const int stride = width_ + 1;
-  const double a =
-      integral[static_cast<std::size_t>(cells.y) * stride + cells.x];
-  const double b =
-      integral[static_cast<std::size_t>(cells.y) * stride + cells.right()];
-  const double c =
-      integral[static_cast<std::size_t>(cells.bottom()) * stride + cells.x];
-  const double d = integral[static_cast<std::size_t>(cells.bottom()) * stride +
-                            cells.right()];
+  const double a = corner(cells.x, cells.y)[channel];
+  const double b = corner(cells.right(), cells.y)[channel];
+  const double c = corner(cells.x, cells.bottom())[channel];
+  const double d = corner(cells.right(), cells.bottom())[channel];
   return d - b - c + a;
 }
 
@@ -351,85 +380,119 @@ void candidateGeometryInto(Size fullSize, const Rect& box,
   f[k++] = std::hypot(cx - W / 2, cy - H / 2) / halfDiag;
 }
 
-namespace {
+DescriptorAxes descriptorAxes(const FeatureMap& map, const Rect& box) {
+  // The rects of the descriptor (see candidateFeaturesPlannedInto), as
+  // Rect::inflated / Rect::translated would build them, one axis at a time.
+  const int ring = std::max(std::min(box.width, box.height) / 2, 2) + 2;
+  const int core = -std::max(2, std::min(box.width, box.height) / 4);
+  const auto axis = [&](int start, int length, int cells) {
+    DescriptorAxis a;
+    const auto put = [&](DescriptorAxis::Span k, int from, int extent) {
+      const CellSpan span = cellSpan(from, extent, map.scale(), cells);
+      a.lo[k] = span.lo;
+      a.len[k] = span.len;
+    };
+    put(DescriptorAxis::kBox, start, length);
+    put(DescriptorAxis::kRing, start - ring, length + 2 * ring);
+    put(DescriptorAxis::kBorder, start - 2, length + 4);
+    put(DescriptorAxis::kCore, start - core, length + 2 * core);
+    put(DescriptorAxis::kBefore, start - length, length);
+    put(DescriptorAxis::kAfter, start + length, length);
+    return a;
+  };
+  return {axis(box.x, box.width, map.width()),
+          axis(box.y, box.height, map.height())};
+}
 
-/// Shared descriptor fill. The channel block sums each (channel, rect) pair
-/// once — boxMean and ringContrast both need the inner sum, and the ring's
-/// outer rect is channel-independent — with arithmetic identical to the
-/// public accessors'. The geometric block is copied from `plannedGeometry`
-/// when the caller precomputed it (the batched grid plan), else computed in
-/// place.
-void fillCandidateFeatures(const FeatureMap& map, const Rect& box,
-                           const float* plannedGeometry, std::span<float> out) {
-  float* f = out.data();
+void candidateFeaturesPlannedInto(const FeatureMap& map,
+                                  const DescriptorAxis& x,
+                                  const DescriptorAxis& y,
+                                  const float* geometry, float* out,
+                                  std::size_t stride) {
+  using A = DescriptorAxis;
   int k = 0;
-  const Rect innerCells = map.toCells(box);
-  const double innerArea = static_cast<double>(innerCells.area());
-  const int ringMargin =
-      std::max(std::min(box.width, box.height) / 2, 2) + 2;
-  const Rect outerCells = map.toCells(box.inflated(ringMargin));
-  const double ringArea =
-      static_cast<double>(outerCells.area()) - innerCells.area();
+  const auto put = [&](float v) { out[static_cast<std::size_t>(k++) * stride] = v; };
+  const auto empty = [&](A::Span sx, A::Span sy) {
+    return x.len[sx] <= 0 || y.len[sy] <= 0;
+  };
+  const auto area = [&](A::Span sx, A::Span sy) {
+    return static_cast<std::int64_t>(x.len[sx]) * y.len[sy];
+  };
+  // The four corner groups of a rect: all channels of a corner are
+  // adjacent, so a box's five sums read four groups instead of twenty
+  // scattered doubles.
+  struct Corners {
+    const double* a;
+    const double* b;
+    const double* c;
+    const double* d;
+  };
+  const auto corners = [&](A::Span sx, A::Span sy) {
+    const int x0 = x.lo[sx], x1 = x0 + x.len[sx];
+    const int y0 = y.lo[sy], y1 = y0 + y.len[sy];
+    return Corners{map.corner(x0, y0), map.corner(x1, y0), map.corner(x0, y1),
+                   map.corner(x1, y1)};
+  };
+  const auto sum = [](const Corners& q, int c) {
+    return q.d[c] - q.b[c] - q.c[c] + q.a[c];
+  };
+  const auto boxMean = [&](Channel channel, A::Span sx, A::Span sy) {
+    if (empty(sx, sy)) return 0.0f;
+    return static_cast<float>(sum(corners(sx, sy), static_cast<int>(channel)) /
+                              static_cast<double>(area(sx, sy)));
+  };
+
+  // Per channel: box mean and ring contrast, sharing the inner sum. The
+  // ring's outer rect is the box inflated by half its smaller side + 2 px.
+  const bool innerEmpty = empty(A::kBox, A::kBox);
+  const bool outerEmpty = empty(A::kRing, A::kRing);
+  const double innerArea = static_cast<double>(area(A::kBox, A::kBox));
+  const double ringArea = static_cast<double>(area(A::kRing, A::kRing)) -
+                          area(A::kBox, A::kBox);
+  const bool hasRing = !innerEmpty && !outerEmpty && ringArea > 0.0;
+  Corners inner{};
+  Corners outer{};
+  if (!innerEmpty) inner = corners(A::kBox, A::kBox);
+  if (hasRing) outer = corners(A::kRing, A::kRing);
   for (int c = 0; c < kChannelCount; ++c) {
-    double innerSum = 0.0;
-    if (!innerCells.empty()) {
-      innerSum = map.integralSum(c, innerCells);
-      f[k++] = static_cast<float>(innerSum / innerArea);
-    } else {
-      f[k++] = 0.0f;
-    }
-    if (!innerCells.empty() && !outerCells.empty() && ringArea > 0.0) {
-      const double outerSum = map.integralSum(c, outerCells);
+    const double innerSum = innerEmpty ? 0.0 : sum(inner, c);
+    put(innerEmpty ? 0.0f : static_cast<float>(innerSum / innerArea));
+    if (hasRing) {
+      const double outerSum = sum(outer, c);
       const double innerMean = innerSum / innerArea;
       const double ringMean = (outerSum - innerSum) / ringArea;
-      f[k++] = static_cast<float>(innerMean - ringMean);
+      put(static_cast<float>(innerMean - ringMean));
     } else {
-      f[k++] = 0.0f;
+      put(0.0f);
     }
   }
-  if (plannedGeometry != nullptr) {
-    for (int g = 0; g < kCandidateGeometryDim; ++g) f[k++] = plannedGeometry[g];
-  } else {
-    candidateGeometryInto(map.fullSize(), box,
-                          {f + k, static_cast<std::size_t>(
-                                      kCandidateGeometryDim)});
-    k += kCandidateGeometryDim;
-  }
+  for (int g = 0; g < kCandidateGeometryDim; ++g) put(geometry[g]);
   // Global context: overall darkness (scrim cue), edge business, and the
   // center-vs-surround luma difference (modal panel cue).
-  f[k++] = map.globalMean(Channel::kLuma);
-  f[k++] = map.globalMean(Channel::kEdge);
-  f[k++] = map.centerSurroundLuma();
-  // Border edge density: edges concentrated on the candidate's perimeter.
-  const Rect border = box.inflated(2);
-  f[k++] = map.boxMean(Channel::kEdge, border) -
-           map.boxMean(Channel::kEdge,
-                       box.inflated(-std::max(
-                           2, std::min(box.width, box.height) / 4)));
+  put(map.globalMean(Channel::kLuma));
+  put(map.globalMean(Channel::kEdge));
+  put(map.centerSurroundLuma());
+  // Border edge density: edges concentrated on the candidate's perimeter
+  // (the box inflated by 2 px) against its core (deflated by a quarter of
+  // its smaller side, at least 2 px).
+  put(boxMean(Channel::kEdge, A::kBorder, A::kBorder) -
+      boxMean(Channel::kEdge, A::kCore, A::kCore));
   // Edge continuation: an isolated option has quiet neighbors on both sides
   // of each axis, while a panel border continues across them. min() over the
   // opposite pair is high only when the structure runs through.
-  const Rect leftN = box.translated(-box.width, 0);
-  const Rect rightN = box.translated(box.width, 0);
-  const Rect upN = box.translated(0, -box.height);
-  const Rect downN = box.translated(0, box.height);
-  f[k++] = std::min(map.boxMean(Channel::kContrast, leftN),
-                    map.boxMean(Channel::kContrast, rightN));
-  f[k++] = std::min(map.boxMean(Channel::kContrast, upN),
-                    map.boxMean(Channel::kContrast, downN));
+  put(std::min(boxMean(Channel::kContrast, A::kBefore, A::kBox),
+               boxMean(Channel::kContrast, A::kAfter, A::kBox)));
+  put(std::min(boxMean(Channel::kContrast, A::kBox, A::kBefore),
+               boxMean(Channel::kContrast, A::kBox, A::kAfter)));
 }
-
-}  // namespace
 
 void candidateFeaturesInto(const FeatureMap& map, const Rect& box,
                            std::span<float> out) {
-  fillCandidateFeatures(map, box, nullptr, out);
-}
-
-void candidateFeaturesPlannedInto(const FeatureMap& map, const Rect& box,
-                                  std::span<const float> geometry,
-                                  std::span<float> out) {
-  fillCandidateFeatures(map, box, geometry.data(), out);
+  const DescriptorAxes axes = descriptorAxes(map, box);
+  std::array<float, kCandidateGeometryDim> geometry{};
+  candidateGeometryInto(map.fullSize(), box, geometry);
+  candidateFeaturesPlannedInto(map, axes.x, axes.y, geometry.data(),
+                               out.data(), 1);
 }
 
 std::vector<float> candidateFeatures(const FeatureMap& map, const Rect& box) {

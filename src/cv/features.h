@@ -119,9 +119,16 @@ class FeatureMap {
   /// Full-res rect -> downscaled integral-grid cells (clipped).
   [[nodiscard]] Rect toCells(const Rect& fullResRect) const;
 
-  /// Raw channel sum over integral-grid cells (see toCells). The descriptor
-  /// fill uses this directly so each (channel, rect) pair is summed once.
+  /// Raw channel sum over integral-grid cells (see toCells).
   [[nodiscard]] double integralSum(int channel, const Rect& cells) const;
+
+  /// The kChannelCount integral values at grid corner (x, y), 0 <= x <=
+  /// width(), 0 <= y <= height(): one contiguous group per corner, so a
+  /// box's sums over every channel read four groups.
+  [[nodiscard]] const double* corner(int x, int y) const {
+    return integrals_.data() +
+           (static_cast<std::size_t>(y) * (width_ + 1) + x) * kChannelCount;
+  }
 
  private:
   int width_ = 0;
@@ -129,11 +136,9 @@ class FeatureMap {
   int scale_ = 4;
   Size fullSize_;
   ChannelSet channels_;
-  // kChannelCount concatenated integral planes of (width_+1)*(height_+1)
-  // doubles each (plane c starts at c * planeStride_) — one allocation per
-  // map instead of five.
+  // Cell-interleaved integral images: (width_+1)*(height_+1) cells of
+  // kChannelCount doubles, channel c of corner (x, y) at corner(x, y)[c].
   std::vector<double> integrals_;
-  std::size_t planeStride_ = 0;
   // Map-constant context cues, computed once at construction (the candidate
   // descriptor reads them per grid position — thousands of times per frame).
   std::array<float, kChannelCount> globalMeans_{};
@@ -152,8 +157,9 @@ inline constexpr int kCandidateFeatureDim = 2 * kChannelCount + 14;
                                                    const Rect& box);
 
 /// candidateFeatures() into a caller-provided buffer of exactly
-/// kCandidateFeatureDim floats — the allocation-free form the batched
-/// detector path uses to fill descriptor matrix rows.
+/// kCandidateFeatureDim floats — the allocation-free form that fills
+/// descriptor matrix rows one box at a time (training's negative scoring,
+/// the two-stage heads).
 void candidateFeaturesInto(const FeatureMap& map, const Rect& box,
                            std::span<float> out);
 
@@ -167,11 +173,39 @@ inline constexpr int kCandidateGeometryOffset = 2 * kChannelCount;
 void candidateGeometryInto(Size fullSize, const Rect& box,
                            std::span<float> out);
 
-/// candidateFeaturesInto with the geometric block copied from `geometry`
-/// (a kCandidateGeometryDim block from candidateGeometryInto) instead of
-/// recomputed per candidate.
-void candidateFeaturesPlannedInto(const FeatureMap& map, const Rect& box,
-                                  std::span<const float> geometry,
-                                  std::span<float> out);
+/// The clipped integral-grid cell intervals of a candidate's descriptor
+/// rects along one axis. The descriptor reads eight rects — the box, its
+/// ring (outer) rect, the edge border and core, and the four neighbours —
+/// and each is a product of two intervals, one per axis, that depend only on
+/// the box's extent along that axis (plus margins fixed by its shape). The
+/// batched detector therefore caches one DescriptorAxis per grid column and
+/// one per grid row of each anchor, instead of clipping 8 rects per
+/// candidate.
+struct DescriptorAxis {
+  enum Span : int { kBox = 0, kRing, kBorder, kCore, kBefore, kAfter };
+  static constexpr int kSpans = 6;
+  std::array<std::int32_t, kSpans> lo{};   ///< First cell.
+  std::array<std::int32_t, kSpans> len{};  ///< Cell count (0 = empty).
+};
+
+/// A candidate box's two axes: `x` varies only with the box's column,
+/// `y` only with its row.
+struct DescriptorAxes {
+  DescriptorAxis x;
+  DescriptorAxis y;
+};
+[[nodiscard]] DescriptorAxes descriptorAxes(const FeatureMap& map,
+                                            const Rect& box);
+
+/// The descriptor of the box whose axes are (`x`, `y`) — the same values
+/// candidateFeaturesInto computes — with the geometric block copied from
+/// `geometry` (a kCandidateGeometryDim block from candidateGeometryInto).
+/// Feature k goes to out[k * stride]: stride 1 writes a row-major row,
+/// stride nn::Mlp::kTileRows one column of a feature-major tile.
+void candidateFeaturesPlannedInto(const FeatureMap& map,
+                                  const DescriptorAxis& x,
+                                  const DescriptorAxis& y,
+                                  const float* geometry, float* out,
+                                  std::size_t stride);
 
 }  // namespace darpa::cv

@@ -35,15 +35,24 @@ struct GridPos {
   }
 };
 
-/// Enumerates all grid positions for an image size into a reused buffer.
+/// Grid centres along one axis of `extent` pixels: stride/2, stride/2 +
+/// stride, ... while inside the frame.
+int gridSteps(int extent, int stride) {
+  const int first = stride / 2;
+  return extent > first ? (extent - first + stride - 1) / stride : 0;
+}
+
+/// Enumerates all grid positions for an image size into a reused buffer:
+/// anchor-major, then rows, then columns — the order detect() scores in.
 void enumerateGridInto(const OneStageConfig& config, Size size,
                        std::vector<GridPos>& grid) {
   grid.clear();
   for (std::size_t a = 0; a < config.anchors.size(); ++a) {
     const int stride = config.anchors[a].stride();
-    for (int cy = stride / 2; cy < size.height; cy += stride) {
-      for (int cx = stride / 2; cx < size.width; cx += stride) {
-        grid.push_back(GridPos{static_cast<int>(a), cx, cy});
+    for (int yi = 0; yi < gridSteps(size.height, stride); ++yi) {
+      for (int xi = 0; xi < gridSteps(size.width, stride); ++xi) {
+        grid.push_back(GridPos{static_cast<int>(a), stride / 2 + xi * stride,
+                               stride / 2 + yi * stride});
       }
     }
   }
@@ -55,66 +64,151 @@ std::vector<GridPos> enumerateGrid(const OneStageConfig& config, Size size) {
   return grid;
 }
 
-/// Per-thread arena for the batched detect path: the anchor grid (cached
-/// across same-sized frames), the descriptor matrix, the logit matrix, and
-/// the MLP forward scratch. Buffer growths are counted so the detect stage and
-/// the hot-path bench can assert the steady state allocates nothing.
+/// One anchor's share of the cell plan: its grid's column and row counts and
+/// where its per-column x axes and per-row y axes start in the plan.
+struct AnchorPlan {
+  int columns = 0;
+  int rows = 0;
+  std::size_t firstColumn = 0;
+  std::size_t firstRow = 0;
+};
+
+/// Per-thread arena for the batched detect path: the cell plan (cached
+/// across same-sized frames), one descriptor tile, its logits, and the MLP
+/// forward scratch. Buffer growths are counted so the detect stage and the
+/// hot-path bench can assert the steady state allocates nothing.
 struct DetectScratch {
-  std::vector<GridPos> grid;
-  Size gridSize{-1, -1};
-  std::vector<Anchor> gridAnchors;
-  /// Per-grid-entry geometric descriptor blocks (kCandidateGeometryDim
-  /// floats each), regenerated with the grid: geometry depends only on
-  /// (frame size, anchor box), so the batched fill replays these across
-  /// every frame of the cached size instead of recomputing hypot/log per
-  /// candidate.
+  /// The separable cell plan, keyed by (frame size, anchors, feature
+  /// scale): per anchor, one DescriptorAxis per grid column and one per
+  /// grid row (a candidate's descriptor rects are products of the two), and
+  /// the geometric descriptor block of every grid entry in grid order. Both
+  /// are pure functions of the key, produced by the very functions the
+  /// direct descriptor path runs, so replaying them is bit-equal.
+  Size planSize{-1, -1};
+  int planScale = 0;
+  std::vector<Anchor> planAnchors;
+  std::vector<AnchorPlan> anchorPlans;
+  std::vector<DescriptorAxis> axes;
   std::vector<float> geometry;
-  std::vector<float> features;
+  /// One tile of descriptors (feature-major for the fp32 head, row-major
+  /// for the int8 head) and its logits.
+  std::vector<float> tile;
   std::vector<float> logits;
+  /// Training's hard-negative scoring matrix.
+  std::vector<float> features;
   nn::ForwardScratch forward;
   std::int64_t growths = 0;
   std::int64_t grownBytes = 0;
 
-  float* ensure(std::vector<float>& v, std::size_t n) {
+  template <typename T>
+  T* ensure(std::vector<T>& v, std::size_t n) {
     const std::size_t before = v.capacity();
     if (n > before) {
       v.reserve(n);
       ++growths;
       grownBytes +=
-          static_cast<std::int64_t>((v.capacity() - before) * sizeof(float));
+          static_cast<std::int64_t>((v.capacity() - before) * sizeof(T));
     }
     if (v.size() < n) v.resize(n);
     return v.data();
   }
 
-  const std::vector<GridPos>& gridFor(const OneStageConfig& config,
-                                      Size size) {
-    if (size.width != gridSize.width || size.height != gridSize.height ||
-        gridAnchors != config.anchors) {
-      const std::size_t before = grid.capacity();
-      enumerateGridInto(config, size, grid);
-      if (grid.capacity() > before) {
-        ++growths;
-        grownBytes += static_cast<std::int64_t>(
-            (grid.capacity() - before) * sizeof(GridPos));
-      }
-      float* geo = ensure(geometry, grid.size() * kCandidateGeometryDim);
-      for (std::size_t r = 0; r < grid.size(); ++r) {
-        candidateGeometryInto(
-            size, grid[r].box(config.anchors),
-            {geo + r * kCandidateGeometryDim,
-             static_cast<std::size_t>(kCandidateGeometryDim)});
-      }
-      gridSize = size;
-      gridAnchors = config.anchors;
+  void planFor(const OneStageConfig& config, const FeatureMap& map) {
+    const Size size = map.fullSize();
+    if (size == planSize && map.scale() == planScale &&
+        planAnchors == config.anchors) {
+      return;
     }
-    return grid;
+    const std::size_t anchorCount = config.anchors.size();
+    AnchorPlan* plans = ensure(anchorPlans, anchorCount);
+    std::size_t axisCount = 0;
+    std::size_t entries = 0;
+    for (std::size_t a = 0; a < anchorCount; ++a) {
+      const int stride = config.anchors[a].stride();
+      AnchorPlan& p = plans[a];
+      p.columns = gridSteps(size.width, stride);
+      p.rows = gridSteps(size.height, stride);
+      p.firstColumn = axisCount;
+      p.firstRow = axisCount + static_cast<std::size_t>(p.columns);
+      axisCount += static_cast<std::size_t>(p.columns + p.rows);
+      entries += static_cast<std::size_t>(p.columns) * p.rows;
+    }
+    DescriptorAxis* axis = ensure(axes, axisCount);
+    float* geo = ensure(geometry, entries * kCandidateGeometryDim);
+    for (std::size_t a = 0; a < anchorCount; ++a) {
+      const AnchorPlan& p = plans[a];
+      const int stride = config.anchors[a].stride();
+      const int first = stride / 2;
+      const auto box = [&](int xi, int yi) {
+        return GridPos{static_cast<int>(a), first + xi * stride,
+                       first + yi * stride}
+            .box(config.anchors);
+      };
+      for (int xi = 0; xi < p.columns; ++xi) {
+        axis[p.firstColumn + xi] = descriptorAxes(map, box(xi, 0)).x;
+      }
+      for (int yi = 0; yi < p.rows; ++yi) {
+        axis[p.firstRow + yi] = descriptorAxes(map, box(0, yi)).y;
+      }
+      for (int yi = 0; yi < p.rows; ++yi) {
+        for (int xi = 0; xi < p.columns; ++xi) {
+          candidateGeometryInto(
+              size, box(xi, yi),
+              {geo, static_cast<std::size_t>(kCandidateGeometryDim)});
+          geo += kCandidateGeometryDim;
+        }
+      }
+    }
+    planSize = size;
+    planScale = map.scale();
+    planAnchors = config.anchors;
   }
 };
 
 DetectScratch& detectScratch() {
   thread_local DetectScratch scratch;
   return scratch;
+}
+
+/// Fills the descriptor of every anchor-grid candidate of `map`'s frame, in
+/// grid order, through the cached cell plan, into `s.tile` one tile of
+/// nn::Mlp::kTileRows candidates at a time: feature k of tile row n goes to
+/// tile[n * rowStep + k * featureStride]. After each full tile, and after
+/// the last partial one, calls onTile(rows, positions).
+template <typename OnTile>
+void fillDescriptorTiles(const OneStageConfig& config, const FeatureMap& map,
+                         DetectScratch& s, bool featureMajor,
+                         OnTile&& onTile) {
+  constexpr int kRows = nn::Mlp::kTileRows;
+  s.planFor(config, map);
+  float* tile = s.ensure(s.tile, static_cast<std::size_t>(kRows) *
+                                     kCandidateFeatureDim);
+  const std::size_t featureStride = featureMajor ? kRows : 1;
+  const std::size_t rowStep = featureMajor ? 1 : kCandidateFeatureDim;
+  std::array<GridPos, kRows> positions;
+  const float* geometry = s.geometry.data();
+  int n = 0;
+  for (std::size_t a = 0; a < config.anchors.size(); ++a) {
+    const AnchorPlan& p = s.anchorPlans[a];
+    const int stride = config.anchors[a].stride();
+    for (int yi = 0; yi < p.rows; ++yi) {
+      const DescriptorAxis& y = s.axes[p.firstRow + yi];
+      for (int xi = 0; xi < p.columns; ++xi) {
+        candidateFeaturesPlannedInto(map, s.axes[p.firstColumn + xi], y,
+                                     geometry, tile + n * rowStep,
+                                     featureStride);
+        geometry += kCandidateGeometryDim;
+        positions[static_cast<std::size_t>(n)] =
+            GridPos{static_cast<int>(a), stride / 2 + xi * stride,
+                    stride / 2 + yi * stride};
+        if (++n == kRows) {
+          onTile(n, positions.data());
+          n = 0;
+        }
+      }
+    }
+  }
+  if (n > 0) onTile(n, positions.data());
 }
 
 /// Thresholds + decodes one candidate's head output into `raw` — the exact
@@ -391,16 +485,6 @@ std::vector<float> OneStageDetector::runHead(
   return head_->forward(features);
 }
 
-void OneStageDetector::runHeadBatch(std::span<const float> features, int rows,
-                                    std::span<float> logits,
-                                    nn::ForwardScratch& scratch) const {
-  if (useQuantized_ && quantizedHead_) {
-    quantizedHead_->forwardBatch(features, rows, logits, scratch);
-  } else {
-    head_->forwardBatch(features, rows, logits, scratch);
-  }
-}
-
 std::vector<Detection> OneStageDetector::postprocess(
     std::vector<Detection> raw, const gfx::Bitmap& screenshot) const {
   std::vector<Detection> kept =
@@ -426,29 +510,29 @@ std::vector<Detection> OneStageDetector::detect(
   const FeatureMap map(screenshot, config_.channels, config_.featureScale);
   std::vector<Detection> raw;
   if (config_.batchedHead) {
-    // Batched path: fill the descriptor matrix for the whole anchor grid,
-    // score it in one GEMM, decode in grid order (identical to the scalar
-    // loop's order, so the Detection stream is bit-equal).
+    // Batched path: fill the anchor grid's descriptors a tile at a time —
+    // feature-major, straight into the fp32 head's input layout — score
+    // each tile, and decode in grid order (identical to the scalar loop's
+    // order, so the Detection stream is bit-equal).
     DetectScratch& s = detectScratch();
-    const std::vector<GridPos>& grid = s.gridFor(config_, screenshot.size());
-    const int rows = static_cast<int>(grid.size());
-    const std::size_t dim = kCandidateFeatureDim;
-    float* feats = s.ensure(s.features, static_cast<std::size_t>(rows) * dim);
-    for (int r = 0; r < rows; ++r) {
-      candidateFeaturesPlannedInto(
-          map, grid[static_cast<std::size_t>(r)].box(config_.anchors),
-          {s.geometry.data() +
-               static_cast<std::size_t>(r) * kCandidateGeometryDim,
-           static_cast<std::size_t>(kCandidateGeometryDim)},
-          {feats + static_cast<std::size_t>(r) * dim, dim});
-    }
-    float* logits = s.ensure(s.logits, static_cast<std::size_t>(rows) * 6);
-    runHeadBatch({feats, static_cast<std::size_t>(rows) * dim}, rows,
-                 {logits, static_cast<std::size_t>(rows) * 6}, s.forward);
-    for (int r = 0; r < rows; ++r) {
-      decodeCandidate(config_, grid[static_cast<std::size_t>(r)],
-                      logits + static_cast<std::size_t>(r) * 6, raw);
-    }
+    const bool int8 = useQuantized_ && quantizedHead_.has_value();
+    constexpr std::size_t kRows = nn::Mlp::kTileRows;
+    constexpr std::size_t dim = kCandidateFeatureDim;
+    float* logits = s.ensure(s.logits, kRows * 6);
+    fillDescriptorTiles(
+        config_, map, s, !int8, [&](int rows, const GridPos* positions) {
+          const std::size_t n = static_cast<std::size_t>(rows);
+          if (int8) {
+            quantizedHead_->forwardBatch({s.tile.data(), n * dim}, rows,
+                                         {logits, n * 6}, s.forward);
+          } else {
+            head_->forwardTile({s.tile.data(), kRows * dim}, rows,
+                               {logits, n * 6}, s.forward);
+          }
+          for (std::size_t r = 0; r < n; ++r) {
+            decodeCandidate(config_, positions[r], logits + r * 6, raw);
+          }
+        });
   } else {
     for (const GridPos& pos : enumerateGrid(config_, screenshot.size())) {
       const std::vector<float> features =
@@ -463,13 +547,34 @@ std::vector<Detection> OneStageDetector::detect(
 double OneStageDetector::costMacsPerImage() const {
   // Head cost over all grid candidates plus the feature-extraction sweep.
   const Size size{360, 720};
-  const double candidates =
-      static_cast<double>(enumerateGrid(config_, size).size());
+  std::int64_t gridEntries = 0;
+  for (const Anchor& anchor : config_.anchors) {
+    gridEntries +=
+        static_cast<std::int64_t>(gridSteps(size.width, anchor.stride())) *
+        gridSteps(size.height, anchor.stride());
+  }
+  const double candidates = static_cast<double>(gridEntries);
   const double headMacs =
       head_ ? static_cast<double>(head_->parameterCount()) : 0.0;
   const double featureMacs =
       static_cast<double>(size.width) * size.height * 3.0;  // channel sweeps
   return candidates * headMacs + featureMacs;
+}
+
+std::vector<float> plannedDescriptors(const OneStageConfig& config,
+                                      const FeatureMap& map) {
+  constexpr std::size_t kRows = nn::Mlp::kTileRows;
+  constexpr std::size_t dim = kCandidateFeatureDim;
+  std::vector<float> rows;
+  DetectScratch& s = detectScratch();
+  fillDescriptorTiles(config, map, s, true, [&](int n, const GridPos*) {
+    for (int r = 0; r < n; ++r) {
+      for (std::size_t k = 0; k < dim; ++k) {
+        rows.push_back(s.tile[k * kRows + static_cast<std::size_t>(r)]);
+      }
+    }
+  });
+  return rows;
 }
 
 void OneStageDetector::enableQuantized(

@@ -69,11 +69,12 @@ struct OneStageConfig {
   /// border or texture, and a ghost option that cannot be snapped would
   /// miss the IoU 0.9 bar anyway.
   bool dropUnrefined = true;
-  /// Score the whole anchor grid in one Mlp::forwardBatch GEMM instead of
-  /// one forward() per candidate. Bit-equal by construction (the batched
-  /// kernel keeps the scalar per-row accumulation order), so this is purely
-  /// a throughput switch; off exists for the equality tests and the bench's
-  /// scalar baseline.
+  /// Score the anchor grid tile by tile (descriptors filled through the
+  /// cell plan straight into the head's feature-major tiles) instead of
+  /// candidateFeatures() and one forward() per candidate. Bit-equal by
+  /// construction (same descriptor values, same per-row accumulation
+  /// order), so this is purely a throughput switch; off exists for the
+  /// equality tests and the bench's scalar baseline.
   bool batchedHead = true;
 };
 
@@ -139,10 +140,6 @@ class OneStageDetector : public Detector {
   explicit OneStageDetector(OneStageConfig config) : config_(std::move(config)) {}
 
   [[nodiscard]] std::vector<float> runHead(std::span<const float> features) const;
-  /// Scores `rows` descriptors (row-major) in one batched head call through
-  /// whichever head (fp32/int8) is active.
-  void runHeadBatch(std::span<const float> features, int rows,
-                    std::span<float> logits, nn::ForwardScratch& scratch) const;
   /// Tail of detect(): NMS, flood-fill refinement, duplicate merge.
   [[nodiscard]] std::vector<Detection> postprocess(
       std::vector<Detection> raw, const gfx::Bitmap& screenshot) const;
@@ -153,8 +150,16 @@ class OneStageDetector : public Detector {
   bool useQuantized_ = false;
 };
 
+/// The descriptor rows the batched detect() scores for every anchor-grid
+/// candidate of `map`'s frame, in candidateBoxes() order, row-major —
+/// filled exactly as detect() fills them: through this thread's cached cell
+/// plan, feature-major, one head tile at a time. Exposed so tests can hold
+/// every row to candidateFeatures().
+[[nodiscard]] std::vector<float> plannedDescriptors(
+    const OneStageConfig& config, const FeatureMap& map);
+
 /// Per-thread scratch statistics for the detector hot path: the batched
-/// detect path's arenas (grid cache, descriptor matrix, logits, MLP forward
+/// detect path's arenas (cell plan, descriptor tile, logits, MLP forward
 /// scratch) plus the fused feature pass's arena. Growths stop once the
 /// working sizes have been seen; the pipeline's detect stage diffs this
 /// around detect calls and the hot-path bench asserts zero steady-state

@@ -98,6 +98,15 @@ class Bitmap {
 #endif
     return data_[static_cast<std::size_t>(y) * width_ + x];
   }
+  /// Row y's pixels; caller guarantees 0 <= y < height (asserted like
+  /// at()). Lets a whole-row loop read pixels through one pointer, which the
+  /// compiler can vectorize.
+  [[nodiscard]] const Color* row(int y) const {
+#if DARPA_BOUNDS_CHECKS
+    checkBounds(0, y);
+#endif
+    return data_ + static_cast<std::size_t>(y) * width_;
+  }
   void set(int x, int y, Color c) {
 #if DARPA_BOUNDS_CHECKS
     checkBounds(x, y);

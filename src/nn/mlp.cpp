@@ -44,65 +44,82 @@ std::size_t Mlp::parameterCount() const {
 
 namespace {
 
-// Batched dense layer: out[n][j] = act(bias[j] + sum_i W[j][i] * in[n][i]).
-// Each tile of input rows is transposed into column-major `tile` (tile[i][n])
-// so the inner loop advances kRowTile INDEPENDENT accumulators per weight
-// element instead of one serial dependency chain per sample — that is where
-// the batched speedup comes from: the chains interleave (ILP) and the loop
-// over n vectorizes. The per-(n, j) accumulation — bias first, then
-// ascending i — is exactly the scalar order; transposing moves data, never
-// reorders a sum, so every output is bit-identical to the unbatched path.
-constexpr int kRowTile = 64;
+// The dense kernel. Activations stay feature-major through every layer —
+// X[i][n], input i of tile row n, rows kTileRows apart — so a layer's output
+// plane is the next layer's input plane with no transpose or scatter. Rows
+// run in blocks of kLanes as GCC vector values (plain element-wise
+// arithmetic, no intrinsics), and each register block holds U output units
+// x B row blocks of accumulators. Every lane computes exactly the scalar
+// recipe: acc = bias, then for ascending i one multiply w * x and one add,
+// each rounded (no FMA: the build passes -mno-fma -ffp-contract=off where
+// it could fuse), then the ReLU `sum < 0 ? 0 : sum`, which keeps a -0.0
+// sum. Lanes never mix, so the bits of a row do not depend on its tile, its
+// position or the batch size.
+constexpr int kLanes = 16;
+using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
+// Vec never crosses a function boundary (its by-value ABI depends on the
+// target's vector ISA); loads and stores are memcpy, which has no alignment
+// or aliasing requirement and compiles to one vector move.
 
-/// One transposed tile of the batched dense layer. NT is the tile's row
-/// count as a compile-time constant for full tiles (fixed-trip inner loops
-/// vectorize without runtime prologues) and 0 for the runtime-sized
-/// remainder tile. Both instantiations evaluate the identical expressions.
-template <int NT>
-void denseForwardTile(const DenseLayer& layer, const float* in, int n0,
-                      int ntRuntime, float* out, bool relu, float* tile) {
-  const int nt = NT > 0 ? NT : ntRuntime;
-  for (int n = 0; n < nt; ++n) {
-    const float* x = in + static_cast<std::size_t>(n0 + n) * layer.inSize;
-    for (int i = 0; i < layer.inSize; ++i) {
-      tile[static_cast<std::size_t>(i) * nt + n] = x[i];
+/// Units [j, j + U) for row blocks [b, b + B) of one layer.
+template <int U, int B>
+void denseBlock(const DenseLayer& layer, const float* in, float* out, int j,
+                int b, bool relu) {
+  constexpr int kStride = Mlp::kTileRows;
+  Vec acc[U][B];
+  for (int u = 0; u < U; ++u) {
+    // `bias - 0` broadcasts the bias unchanged, -0.0 included (a `+ 0`
+    // would turn it into +0.0).
+    const Vec bias = layer.bias[static_cast<std::size_t>(j + u)] - Vec{};
+    for (int v = 0; v < B; ++v) acc[u][v] = bias;
+  }
+  const float* w = layer.weights.data() + static_cast<std::size_t>(j) *
+                                              layer.inSize;
+  for (int i = 0; i < layer.inSize; ++i) {
+    Vec x[B];
+    for (int v = 0; v < B; ++v) {
+      std::memcpy(&x[v],
+                  in + static_cast<std::size_t>(i) * kStride + (b + v) * kLanes,
+                  sizeof(Vec));
+    }
+    for (int u = 0; u < U; ++u) {
+      const float wu = w[static_cast<std::size_t>(u) * layer.inSize + i];
+      for (int v = 0; v < B; ++v) {
+        const Vec product = wu * x[v];
+        acc[u][v] = acc[u][v] + product;
+      }
     }
   }
-  float acc[kRowTile];
-  for (int j = 0; j < layer.outSize; ++j) {
-    const float* row =
-        layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
-    const float bias = layer.bias[static_cast<std::size_t>(j)];
-    for (int n = 0; n < nt; ++n) acc[n] = bias;
-    for (int i = 0; i < layer.inSize; ++i) {
-      const float w = row[i];
-      const float* col = tile + static_cast<std::size_t>(i) * nt;
-      for (int n = 0; n < nt; ++n) acc[n] += w * col[n];
-    }
-    for (int n = 0; n < nt; ++n) {
-      const float sum = acc[n];
-      out[static_cast<std::size_t>(n0 + n) * layer.outSize + j] =
-          relu && sum < 0.0f ? 0.0f : sum;
+  for (int u = 0; u < U; ++u) {
+    for (int v = 0; v < B; ++v) {
+      Vec sum = acc[u][v];
+      if (relu) sum = sum < Vec{} ? Vec{} : sum;
+      std::memcpy(out + static_cast<std::size_t>(j + u) * kStride +
+                      (b + v) * kLanes,
+                  &sum, sizeof(Vec));
     }
   }
 }
 
-void denseForwardBatch(const DenseLayer& layer, const float* in, int batch,
-                       float* out, bool relu, float* tile) {
-  for (int n0 = 0; n0 < batch; n0 += kRowTile) {
-    const int nt = std::min(batch, n0 + kRowTile) - n0;
-    if (nt == kRowTile) {
-      denseForwardTile<kRowTile>(layer, in, n0, nt, out, relu, tile);
-    } else if (nt == 1) {
-      // Single-row calls (forward / forwardCachedInto in the training inner
-      // loop) collapse to a plain dot product; the runtime-stride remainder
-      // path would pay an address multiply and a loop branch per element.
-      denseForwardTile<1>(layer, in, n0, nt, out, relu, tile);
-    } else {
-      denseForwardTile<0>(layer, in, n0, nt, out, relu, tile);
-    }
-  }
+template <int U>
+void denseUnits(const DenseLayer& layer, const float* in, float* out, int j,
+                int blocks, bool relu) {
+  int b = 0;
+  for (; b + 2 <= blocks; b += 2) denseBlock<U, 2>(layer, in, out, j, b, relu);
+  if (b < blocks) denseBlock<U, 1>(layer, in, out, j, b, relu);
 }
+
+/// One layer over the first `blocks` row blocks of a feature-major tile.
+void denseTile(const DenseLayer& layer, const float* in, float* out,
+               int blocks, bool relu) {
+  int j = 0;
+  for (; j + 4 <= layer.outSize; j += 4) {
+    denseUnits<4>(layer, in, out, j, blocks, relu);
+  }
+  for (; j < layer.outSize; ++j) denseUnits<1>(layer, in, out, j, blocks, relu);
+}
+
+int blocksFor(int rows) { return (rows + kLanes - 1) / kLanes; }
 
 ForwardScratch& threadScratch() {
   thread_local ForwardScratch scratch;
@@ -124,18 +141,6 @@ float* ForwardScratch::ensureFloats(bool second, std::size_t n) {
   return v.data();
 }
 
-float* ForwardScratch::ensureTile(std::size_t n) {
-  const std::size_t before = t_.capacity();
-  if (n > before) {
-    t_.reserve(n);
-    ++growths_;
-    grownBytes_ +=
-        static_cast<std::int64_t>((t_.capacity() - before) * sizeof(float));
-  }
-  if (t_.size() < n) t_.resize(n);
-  return t_.data();
-}
-
 std::int8_t* ForwardScratch::ensureInt8(std::size_t n) {
   const std::size_t before = q_.capacity();
   if (n > before) {
@@ -147,6 +152,44 @@ std::int8_t* ForwardScratch::ensureInt8(std::size_t n) {
   return q_.data();
 }
 
+int Mlp::widestLayer() const {
+  return *std::max_element(layerSizes_.begin(), layerSizes_.end());
+}
+
+const float* Mlp::runTile(const float* tile, int rows,
+                          ForwardScratch& scratch) const {
+  const std::size_t plane = static_cast<std::size_t>(widestLayer()) * kTileRows;
+  float* planes[2] = {scratch.ensureFloats(false, plane),
+                      scratch.ensureFloats(true, plane)};
+  const int blocks = blocksFor(rows);
+  const float* cur = tile;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    // Layer l writes plane (l + 1) % 2, so forwardBatch's input in plane 0
+    // is only overwritten once layer 0 has consumed it.
+    float* dst = planes[(l + 1) % 2];
+    denseTile(layers_[l], cur, dst, blocks, l + 1 < layers_.size());
+    cur = dst;
+  }
+  return cur;
+}
+
+void Mlp::forwardTile(std::span<const float> tile, int rows,
+                      std::span<float> outputs,
+                      ForwardScratch& scratch) const {
+  assert(rows >= 1 && rows <= kTileRows);
+  assert(tile.size() >= static_cast<std::size_t>(inputSize()) * kTileRows);
+  assert(outputs.size() >=
+         static_cast<std::size_t>(rows) * static_cast<std::size_t>(outputSize()));
+  const float* result = runTile(tile.data(), rows, scratch);
+  const int outSize = outputSize();
+  for (int j = 0; j < outSize; ++j) {
+    for (int n = 0; n < rows; ++n) {
+      outputs[static_cast<std::size_t>(n) * outSize + j] =
+          result[static_cast<std::size_t>(j) * kTileRows + n];
+    }
+  }
+}
+
 void Mlp::forwardBatch(std::span<const float> inputs, int batch,
                        std::span<float> outputs,
                        ForwardScratch& scratch) const {
@@ -154,19 +197,24 @@ void Mlp::forwardBatch(std::span<const float> inputs, int batch,
          static_cast<std::size_t>(batch) * static_cast<std::size_t>(inputSize()));
   assert(outputs.size() ==
          static_cast<std::size_t>(batch) * static_cast<std::size_t>(outputSize()));
-  if (batch <= 0) return;
-  const float* cur = inputs.data();
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const bool hidden = l + 1 < layers_.size();
-    float* dst =
-        hidden ? scratch.ensureFloats(l % 2 != 0,
-                                      static_cast<std::size_t>(batch) *
-                                          layers_[l].outSize)
-               : outputs.data();
-    float* tile = scratch.ensureTile(static_cast<std::size_t>(kRowTile) *
-                                     layers_[l].inSize);
-    denseForwardBatch(layers_[l], cur, batch, dst, hidden, tile);
-    cur = dst;
+  const int inSize = inputSize();
+  const int outSize = outputSize();
+  for (int n0 = 0; n0 < batch; n0 += kTileRows) {
+    const int rows = std::min(batch - n0, kTileRows);
+    const int padded = blocksFor(rows) * kLanes;
+    // The transposed input goes into plane 0, which runTile reads first.
+    float* tile = scratch.ensureFloats(
+        false, static_cast<std::size_t>(widestLayer()) * kTileRows);
+    for (int i = 0; i < inSize; ++i) {
+      float* col = tile + static_cast<std::size_t>(i) * kTileRows;
+      for (int n = 0; n < rows; ++n) {
+        col[n] = inputs[static_cast<std::size_t>(n0 + n) * inSize + i];
+      }
+      std::fill(col + rows, col + padded, 0.0f);
+    }
+    forwardTile({tile, static_cast<std::size_t>(inSize) * kTileRows}, rows,
+                outputs.subspan(static_cast<std::size_t>(n0) * outSize),
+                scratch);
   }
 }
 
@@ -190,15 +238,27 @@ void Mlp::forwardCachedInto(std::span<const float> x, Cache& cache) const {
     cache.activations.resize(layers_.size() + 1);
   }
   cache.activations[0].assign(x.begin(), x.end());
+  // A one-row tile (row 0 of one block, the other lanes zero) through the
+  // same kernel, reading each layer's row back out of its plane.
   ForwardScratch& scratch = threadScratch();
+  const std::size_t plane = static_cast<std::size_t>(widestLayer()) * kTileRows;
+  float* planes[2] = {scratch.ensureFloats(false, plane),
+                      scratch.ensureFloats(true, plane)};
+  for (int i = 0; i < inputSize(); ++i) {
+    float* col = planes[0] + static_cast<std::size_t>(i) * kTileRows;
+    col[0] = x[static_cast<std::size_t>(i)];
+    std::fill(col + 1, col + kLanes, 0.0f);
+  }
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const bool hidden = l + 1 < layers_.size();
+    const float* in = planes[l % 2];
+    float* dst = planes[(l + 1) % 2];
+    denseTile(layers_[l], in, dst, 1, l + 1 < layers_.size());
     std::vector<float>& out = cache.activations[l + 1];
     out.resize(static_cast<std::size_t>(layers_[l].outSize));
-    float* tile =
-        scratch.ensureTile(static_cast<std::size_t>(layers_[l].inSize));
-    denseForwardBatch(layers_[l], cache.activations[l].data(), 1, out.data(),
-                      hidden, tile);
+    for (int j = 0; j < layers_[l].outSize; ++j) {
+      out[static_cast<std::size_t>(j)] =
+          dst[static_cast<std::size_t>(j) * kTileRows];
+    }
   }
 }
 

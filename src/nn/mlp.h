@@ -43,12 +43,13 @@ struct AdamConfig {
   float epsilon = 1e-8f;
 };
 
-/// Caller-owned scratch arena for the forward paths. Holds the intermediate
-/// activation matrices (and the int8 staging buffer for QuantizedMlp) so
-/// that repeated forward/forwardBatch calls reuse capacity instead of
-/// heap-allocating: after the first call at a given batch size every later
-/// call is allocation-free. Not thread-safe — keep one per thread (the
-/// detectors keep a thread_local one).
+/// Caller-owned scratch arena for the forward paths. Holds two activation
+/// planes (one feature-major row tile each for Mlp, one row each for
+/// QuantizedMlp) and the int8 staging buffer, so repeated forward calls
+/// reuse capacity instead of heap-allocating: after the first call on a
+/// model every later call is allocation-free, whatever the batch size. Not
+/// thread-safe — keep one per thread (the detectors keep a thread_local
+/// one).
 class ForwardScratch {
  public:
   /// Number of buffer growths (i.e. heap allocations) since the last
@@ -67,11 +68,9 @@ class ForwardScratch {
   friend class QuantizedMlp;
 
   float* ensureFloats(bool second, std::size_t n);
-  float* ensureTile(std::size_t n);
   std::int8_t* ensureInt8(std::size_t n);
 
-  std::vector<float> a_, b_;     ///< Ping-pong activation matrices.
-  std::vector<float> t_;         ///< Transposed row tile (column-major).
+  std::vector<float> a_, b_;     ///< Ping-pong activation planes.
   std::vector<std::int8_t> q_;   ///< Quantized-activation staging.
   std::int64_t growths_ = 0;
   std::int64_t grownBytes_ = 0;
@@ -89,6 +88,10 @@ class Mlp {
   [[nodiscard]] std::size_t parameterCount() const;
   [[nodiscard]] std::span<const DenseLayer> layers() const { return layers_; }
 
+  /// Rows per feature-major tile: the unit every forward path runs through
+  /// the network. A tile holds input i of row n at [i * kTileRows + n].
+  static constexpr int kTileRows = 64;
+
   /// Inference-only forward pass.
   [[nodiscard]] std::vector<float> forward(std::span<const float> x) const;
 
@@ -100,12 +103,22 @@ class Mlp {
 
   /// Scores `batch` inputs at once. `inputs` is row-major (batch x
   /// inputSize()); `outputs` receives row-major (batch x outputSize()).
-  /// Each dense layer runs as a cache-blocked GEMM, but the per-(row, unit)
-  /// accumulation order — bias first, then ascending input index — is
-  /// exactly the scalar forward() order, so every output is bit-identical
-  /// to calling forward() per row. Allocation-free once `scratch` is warm.
+  /// Rows are transposed into feature-major tiles of kTileRows and each
+  /// tile runs through every layer (forwardTile). Every output is computed
+  /// as bias first, then `+ w * x` in ascending input index, one rounding
+  /// per multiply and per add, so any batch size — and forward(), which is
+  /// a batch of one — gives the same bits per row. Allocation-free once
+  /// `scratch` is warm.
   void forwardBatch(std::span<const float> inputs, int batch,
                     std::span<float> outputs, ForwardScratch& scratch) const;
+
+  /// Scores one feature-major tile (inputSize() x kTileRows floats) whose
+  /// first `rows` (1..kTileRows) columns are inputs; the rest must hold
+  /// finite values and are ignored. `outputs` receives row-major (rows x
+  /// outputSize()). The detector's descriptor fill writes this layout
+  /// directly, so its rows are never transposed. Same bits as forwardBatch.
+  void forwardTile(std::span<const float> tile, int rows,
+                   std::span<float> outputs, ForwardScratch& scratch) const;
 
   /// Per-example activation cache for backprop.
   struct Cache {
@@ -151,6 +164,13 @@ class Mlp {
   static constexpr std::int64_t kMaxLoadParameters = std::int64_t{1} << 22;
 
  private:
+  /// forwardTile's body: runs the layers over `tile` (rows padded to whole
+  /// 16-row blocks), leaving each layer's output in a scratch plane, and
+  /// returns the last one (feature-major, kTileRows apart).
+  const float* runTile(const float* tile, int rows,
+                       ForwardScratch& scratch) const;
+  [[nodiscard]] int widestLayer() const;
+
   std::vector<int> layerSizes_;
   std::vector<DenseLayer> layers_;
   std::int64_t adamStep_ = 0;

@@ -13,28 +13,24 @@ std::int8_t quantizeValue(float x, float scale) {
   return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
 }
 
-/// One quantized layer over `batch` row-major input rows; `q` stages one
-/// row's quantized input (inSize bytes). The ReLU is `sum < 0 ? 0 : sum`
-/// because max(sum, 0) would turn a -0.0 sum into +0.0.
-void layerForward(const QuantizedLayer& layer, const float* in, int batch,
-                  bool relu, std::int8_t* q, float* out) {
-  for (int n = 0; n < batch; ++n) {
-    const float* x = in + static_cast<std::size_t>(n) * layer.inSize;
+/// One quantized layer over one input row; `q` stages the row's quantized
+/// input (inSize bytes). The ReLU is `sum < 0 ? 0 : sum` because
+/// max(sum, 0) would turn a -0.0 sum into +0.0.
+void layerForward(const QuantizedLayer& layer, const float* x, bool relu,
+                  std::int8_t* q, float* out) {
+  for (int i = 0; i < layer.inSize; ++i) {
+    q[i] = quantizeValue(x[i], layer.inputScale);
+  }
+  for (int j = 0; j < layer.outSize; ++j) {
+    const std::int8_t* w =
+        layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
+    std::int32_t acc = 0;
     for (int i = 0; i < layer.inSize; ++i) {
-      q[i] = quantizeValue(x[i], layer.inputScale);
+      acc += static_cast<std::int32_t>(q[i]) * w[i];
     }
-    float* o = out + static_cast<std::size_t>(n) * layer.outSize;
-    for (int j = 0; j < layer.outSize; ++j) {
-      const std::int8_t* w =
-          layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
-      std::int32_t acc = 0;
-      for (int i = 0; i < layer.inSize; ++i) {
-        acc += static_cast<std::int32_t>(q[i]) * w[i];
-      }
-      const float sum = static_cast<float>(acc) * layer.dequantScale +
-                        layer.bias[static_cast<std::size_t>(j)];
-      o[j] = relu && sum < 0.0f ? 0.0f : sum;
-    }
+    const float sum = static_cast<float>(acc) * layer.dequantScale +
+                      layer.bias[static_cast<std::size_t>(j)];
+    out[j] = relu && sum < 0.0f ? 0.0f : sum;
   }
 }
 
@@ -98,18 +94,28 @@ void QuantizedMlp::forwardBatch(std::span<const float> inputs, int batch,
                                 std::span<float> outputs,
                                 ForwardScratch& scratch) const {
   if (batch <= 0 || layers_.empty()) return;
-  const float* cur = inputs.data();
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const QuantizedLayer& layer = layers_[l];
-    std::int8_t* q =
-        scratch.ensureInt8(static_cast<std::size_t>(layer.inSize));
-    const bool hidden = l + 1 < layers_.size();
-    float* dst = hidden ? scratch.ensureFloats(
-                              l % 2 != 0, static_cast<std::size_t>(batch) *
-                                              layer.outSize)
-                        : outputs.data();
-    layerForward(layer, cur, batch, hidden, q, dst);
-    cur = dst;
+  // Rows are independent: each runs through every layer with its hidden
+  // activations in two row-sized planes.
+  int widest = 0;
+  for (const QuantizedLayer& layer : layers_) {
+    widest = std::max({widest, layer.inSize, layer.outSize});
+  }
+  const std::size_t width = static_cast<std::size_t>(widest);
+  std::int8_t* q = scratch.ensureInt8(width);
+  float* planes[2] = {scratch.ensureFloats(false, width),
+                      scratch.ensureFloats(true, width)};
+  const int inSize = inputSize();
+  const int outSize = outputSize();
+  for (int n = 0; n < batch; ++n) {
+    const float* cur = inputs.data() + static_cast<std::size_t>(n) * inSize;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const bool hidden = l + 1 < layers_.size();
+      float* dst = hidden ? planes[l % 2]
+                          : outputs.data() + static_cast<std::size_t>(n) *
+                                                 outSize;
+      layerForward(layers_[l], cur, hidden, q, dst);
+      cur = dst;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -286,7 +287,14 @@ TEST(OneStageTest, TinyTrainedModelDetectsObviousAui) {
       evaluateDetector(detector, data, data.testIndices(), false, 0.5);
   // Loose bar: at IoU 0.5 the tiny model must already find most AGOs.
   EXPECT_GT(metrics.ago.recall(), 0.4);
-  EXPECT_GT(detector.costMacsPerImage(), 0.0);
+  // The modeled cost (Tables VII/VIII) prices every grid candidate of a
+  // 360 x 720 frame through the head, plus three sweeps over its pixels.
+  const double gridEntries =
+      static_cast<double>(detector.candidateBoxes({360, 720}).size());
+  EXPECT_EQ(detector.costMacsPerImage(),
+            gridEntries *
+                    static_cast<double>(detector.head().parameterCount()) +
+                360.0 * 720.0 * 3.0);
 }
 
 // ----------------------------------------------- fused feature-pass parity
@@ -552,23 +560,126 @@ TEST(FusedFeatureParityTest, PooledPlaneReuseLeavesNoStaleData) {
   }
 }
 
+TEST(FusedFeatureParityTest, FullFrameAtDetectorScale) {
+  // The detector's own frame size and feature scale: 180 x 360 cells, so
+  // every interior run of the vectorized value rows and the prefix pass is
+  // long, not just the borders the small shapes above exercise.
+  expectFusedMatchesReference(randomBitmap(360, 720, 2024), ChannelSet::all(),
+                              2, "360x720 scale=2");
+}
+
+TEST(FeatureLumaTest, IntegerLumaGivesDoubleLumaForEveryColour) {
+  // The feature pass builds its float luma plane as
+  // float(intLuma / 255000.0) instead of float(luma(c) / 255.0). The two
+  // agree for all 2^24 colours; this identity is what keeps the luma and
+  // edge channels bit-equal to their double-luma definition.
+  std::int64_t mismatches = 0;
+  Color first{};
+  for (int r = 0; r < 256; ++r) {
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        const Color c = Color::rgb(static_cast<std::uint8_t>(r),
+                                   static_cast<std::uint8_t>(g),
+                                   static_cast<std::uint8_t>(b));
+        const float viaDouble = static_cast<float>(luma(c) / 255.0);
+        const float viaInt = static_cast<float>(refIntLuma(c) / 255000.0);
+        if (std::memcmp(&viaDouble, &viaInt, sizeof(float)) != 0) {
+          if (mismatches++ == 0) first = c;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at rgb(" << int{first.r} << ","
+                           << int{first.g} << "," << int{first.b} << ")";
+}
+
+/// The grid candidates of `config` over a frame of `size`, in detect()'s
+/// order: anchor, then rows, then columns, centres stride/2 apart from the
+/// frame's top-left by one stride.
+std::vector<Rect> referenceGrid(const OneStageConfig& config, Size size) {
+  std::vector<Rect> boxes;
+  for (const Anchor& anchor : config.anchors) {
+    const int stride = anchor.stride();
+    for (int cy = stride / 2; cy < size.height; cy += stride) {
+      for (int cx = stride / 2; cx < size.width; cx += stride) {
+        boxes.push_back({cx - anchor.width / 2, cy - anchor.height / 2,
+                         anchor.width, anchor.height});
+      }
+    }
+  }
+  return boxes;
+}
+
+/// The descriptor rect by rect through FeatureMap's public accessors — the
+/// definition candidateFeatures() documents, with no cell plan or corner
+/// groups — so the shared fill behind both descriptor paths has an oracle.
+std::vector<float> referenceDescriptor(const FeatureMap& map, const Rect& box) {
+  std::vector<float> f;
+  for (int c = 0; c < kChannelCount; ++c) {
+    f.push_back(map.boxMean(static_cast<Channel>(c), box));
+    f.push_back(map.ringContrast(static_cast<Channel>(c), box));
+  }
+  std::array<float, kCandidateGeometryDim> geometry{};
+  candidateGeometryInto(map.fullSize(), box, geometry);
+  f.insert(f.end(), geometry.begin(), geometry.end());
+  f.push_back(map.globalMean(Channel::kLuma));
+  f.push_back(map.globalMean(Channel::kEdge));
+  f.push_back(map.centerSurroundLuma());
+  f.push_back(map.boxMean(Channel::kEdge, box.inflated(2)) -
+              map.boxMean(Channel::kEdge,
+                          box.inflated(-std::max(
+                              2, std::min(box.width, box.height) / 4))));
+  f.push_back(std::min(map.boxMean(Channel::kContrast,
+                                   box.translated(-box.width, 0)),
+                       map.boxMean(Channel::kContrast,
+                                   box.translated(box.width, 0))));
+  f.push_back(std::min(map.boxMean(Channel::kContrast,
+                                   box.translated(0, -box.height)),
+                       map.boxMean(Channel::kContrast,
+                                   box.translated(0, box.height))));
+  return f;
+}
+
 TEST(FusedFeatureParityTest, PlannedGeometryDescriptorMatchesDirect) {
-  // The batched detector replays a cached geometric-prior block per grid
-  // entry; the planned fill must be bit-equal to the direct per-candidate
-  // descriptor for arbitrary boxes.
-  const gfx::Bitmap bmp = randomBitmap(96, 64, 515);
-  const FeatureMap map(bmp, ChannelSet::all(), 2);
-  const std::array<Rect, 4> boxes = {
-      {{4, 4, 20, 20}, {0, 0, 96, 64}, {70, 40, 26, 24}, {33, 17, 9, 41}}};
-  for (const Rect& box : boxes) {
-    const std::vector<float> direct = candidateFeatures(map, box);
-    std::array<float, kCandidateGeometryDim> geo{};
-    candidateGeometryInto(map.fullSize(), box, geo);
-    std::vector<float> planned(kCandidateFeatureDim);
-    candidateFeaturesPlannedInto(map, box, geo, planned);
-    ASSERT_EQ(direct.size(), planned.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(direct[i], planned[i]) << "feature i=" << i;
+  // detect() fills every descriptor through its cached cell plan (clipped
+  // cell intervals per grid column and per grid row, geometry blocks per
+  // grid entry). Every grid entry must be byte-identical to the direct
+  // per-candidate descriptor — at the detector's frame size, at an odd
+  // size whose cells do not divide evenly, and at a frame smaller than the
+  // large anchors, where every box clips. Same-size frames at several
+  // scales also prove the plan is re-keyed on the feature scale.
+  const std::array<Size, 3> sizes = {{{360, 720}, {361, 719}, {40, 30}}};
+  std::uint64_t seed = 6100;
+  for (const Size size : sizes) {
+    const gfx::Bitmap bmp = randomBitmap(size.width, size.height, ++seed);
+    for (const int scale : {1, 2, 3}) {
+      OneStageConfig config;
+      config.featureScale = scale;
+      const FeatureMap map(bmp, config.channels, scale);
+      const std::vector<Rect> grid = referenceGrid(config, size);
+      const std::vector<float> planned = plannedDescriptors(config, map);
+      ASSERT_EQ(planned.size(), grid.size() * kCandidateFeatureDim);
+      for (std::size_t r = 0; r < grid.size(); ++r) {
+        const std::vector<float> direct = candidateFeatures(map, grid[r]);
+        const std::vector<float> reference =
+            referenceDescriptor(map, grid[r]);
+        const float* row = planned.data() + r * kCandidateFeatureDim;
+        ASSERT_EQ(std::memcmp(direct.data(), reference.data(),
+                              kCandidateFeatureDim * sizeof(float)),
+                  0)
+            << "direct vs rect-by-rect reference, grid entry " << r;
+        if (std::memcmp(direct.data(), row,
+                        kCandidateFeatureDim * sizeof(float)) != 0) {
+          for (int k = 0; k < kCandidateFeatureDim; ++k) {
+            EXPECT_EQ(direct[static_cast<std::size_t>(k)], row[k])
+                << "feature " << k;
+          }
+          FAIL() << size.width << "x" << size.height << " scale=" << scale
+                 << " grid entry " << r << " box (" << grid[r].x << ","
+                 << grid[r].y << "," << grid[r].width << ","
+                 << grid[r].height << ")";
+        }
+      }
     }
   }
 }
@@ -597,7 +708,7 @@ TEST(OneStageTest, BatchedHeadBitEqualsScalarDetect) {
   cv::TrainConfig trainConfig;
   trainConfig.epochs = 6;
   trainConfig.benignImages = 20;
-  const OneStageDetector batched =
+  OneStageDetector batched =
       OneStageDetector::train(data, OneStageConfig{}, trainConfig);
   ASSERT_TRUE(batched.config().batchedHead);
 
@@ -617,6 +728,15 @@ TEST(OneStageTest, BatchedHeadBitEqualsScalarDetect) {
   for (std::size_t i = 0; i < images.size(); ++i) {
     expectDetectionsEq(batched.detect(images[i]), scalar->detect(images[i]),
                        "image " + std::to_string(i));
+  }
+
+  // The int8 head (Tables III/IV) takes its tiles row-major; same contract.
+  batched.enableQuantized(images);
+  scalar->enableQuantized(images);
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    expectDetectionsEq(batched.detect(images[i]),
+                       scalar->detect(images[i]),
+                       "int8 image " + std::to_string(i));
   }
 }
 

@@ -254,10 +254,10 @@ TEST(QuantizeTest, EmptyCalibrationStillRuns) {
 }
 
 // --- batched-forward parity -------------------------------------------------
-// The tentpole contract: forwardBatch is a pure throughput transform. The
-// batched GEMM keeps the scalar kernel's per-(row, unit) accumulation order,
-// so its logits must be BIT-equal to looping forward() — EXPECT_EQ on
-// floats, no tolerance.
+// forwardBatch is a pure throughput transform: any batch size gives the
+// bits of looping forward() — EXPECT_EQ on floats, no tolerance. The two
+// share one tile kernel, so the naive reference further down is what holds
+// that kernel to the scalar recipe.
 
 std::vector<std::vector<float>> randomInputs(int count, int dim,
                                              std::uint64_t seed) {
@@ -273,7 +273,7 @@ std::vector<std::vector<float>> randomInputs(int count, int dim,
 TEST(MlpBatchTest, ForwardBatchBitEqualsLoopedForward) {
   Rng rng(31);
   const Mlp mlp({13, 24, 17, 6}, rng);
-  // Batch sizes straddling the GEMM row tile, including 1 and a non-multiple.
+  // Batch sizes straddling the 64-row tile, including 1 and a non-multiple.
   for (const int batch : {1, 3, 64, 65, 130}) {
     const std::vector<std::vector<float>> inputs =
         randomInputs(batch, mlp.inputSize(), 100 + batch);
@@ -294,6 +294,149 @@ TEST(MlpBatchTest, ForwardBatchBitEqualsLoopedForward) {
       }
     }
   }
+}
+
+// --- independent fp32 head reference ------------------------------------
+// forward() and forwardBatch share one tile kernel, so comparing them with
+// each other proves nothing about either. This reference is the scalar
+// recipe written out per row: sum = bias, then sum += w * x in ascending
+// input order, then `sum < 0 ? 0 : sum` on hidden layers. Every forward
+// path must match it byte for byte (memcmp: a -0.0 that came out +0.0 is a
+// failure).
+
+std::vector<float> naiveFloatForward(const Mlp& model, std::vector<float> x,
+                                     int* negativeZeroSums = nullptr) {
+  const std::span<const DenseLayer> layers = model.layers();
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const DenseLayer& layer = layers[l];
+    const bool hidden = l + 1 < layers.size();
+    std::vector<float> next;
+    for (int j = 0; j < layer.outSize; ++j) {
+      float sum = layer.bias[static_cast<std::size_t>(j)];
+      for (int i = 0; i < layer.inSize; ++i) {
+        sum += layer.weights[static_cast<std::size_t>(j * layer.inSize + i)] *
+               x[static_cast<std::size_t>(i)];
+      }
+      if (negativeZeroSums != nullptr && hidden && sum == 0.0f &&
+          std::signbit(sum)) {
+        ++*negativeZeroSums;
+      }
+      next.push_back(hidden && sum < 0.0f ? 0.0f : sum);
+    }
+    x = std::move(next);
+  }
+  return x;
+}
+
+/// A model with chosen parameters, built through the file format (the only
+/// way to set weights from outside). Weights and biases mix random values
+/// with small integers (sums then cancel exactly to +0.0), and every fourth
+/// unit has a -0.0 bias and only non-negative weights, so an all -0.0 input
+/// row sums to -0.0 at that unit's ReLU.
+Mlp craftedMlp(const std::vector<int>& sizes, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto value = [&rng] {
+    return rng.next() % 2 == 0
+               ? static_cast<float>(static_cast<int>(rng.next() % 5) - 2)
+               : static_cast<float>(rng.uniform(-1.0, 1.0));
+  };
+  std::stringstream file;
+  const auto put = [&file](auto v) {
+    file.write(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(std::uint32_t{0x44415250});
+  put(static_cast<std::uint32_t>(sizes.size()));
+  for (const int size : sizes) put(static_cast<std::int32_t>(size));
+  for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
+    for (int j = 0; j < sizes[l + 1]; ++j) {
+      for (int i = 0; i < sizes[l]; ++i) {
+        put(j % 4 == 0 ? std::fabs(value()) : value());
+      }
+    }
+    for (int j = 0; j < sizes[l + 1]; ++j) {
+      put(j % 4 == 0 ? -0.0f : value());
+    }
+  }
+  std::optional<Mlp> mlp = Mlp::load(file);
+  EXPECT_TRUE(mlp.has_value());
+  return std::move(*mlp);
+}
+
+/// Inputs of four kinds by row: all +0.0, all -0.0, small integers, and
+/// random values.
+std::vector<std::vector<float>> craftedInputs(int count, int dim,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> inputs(static_cast<std::size_t>(count));
+  for (std::size_t n = 0; n < inputs.size(); ++n) {
+    inputs[n].resize(static_cast<std::size_t>(dim));
+    for (float& v : inputs[n]) {
+      switch (n % 4) {
+        case 0: v = 0.0f; break;
+        case 1: v = -0.0f; break;
+        case 2:
+          v = static_cast<float>(static_cast<int>(rng.next() % 5) - 2);
+          break;
+        default: v = static_cast<float>(rng.uniform(-2.0, 2.0)); break;
+      }
+    }
+  }
+  return inputs;
+}
+
+bool sameBytes(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(MlpBatchTest, EveryForwardPathMatchesNaiveRowReference) {
+  const std::vector<std::vector<int>> shapes = {
+      {24, 48, 24, 6}, {7, 5, 3}, {24, 8, 6}};
+  std::uint64_t seed = 900;
+  int negativeZeroSums = 0;
+  for (const std::vector<int>& shape : shapes) {
+    const Mlp mlp = craftedMlp(shape, ++seed);
+    const int outSize = mlp.outputSize();
+    const std::vector<std::vector<float>> inputs =
+        craftedInputs(6484, mlp.inputSize(), ++seed);
+    std::vector<std::vector<float>> expected;
+    for (const std::vector<float>& x : inputs) {
+      expected.push_back(naiveFloatForward(mlp, x, &negativeZeroSums));
+    }
+    ForwardScratch scratch;
+    for (const int batch : {1, 15, 16, 17, 63, 64, 65, 6484}) {
+      std::vector<float> packed;
+      for (int n = 0; n < batch; ++n) {
+        const std::vector<float>& x = inputs[static_cast<std::size_t>(n)];
+        packed.insert(packed.end(), x.begin(), x.end());
+      }
+      std::vector<float> outputs(static_cast<std::size_t>(batch) * outSize,
+                                 -1.0f);
+      mlp.forwardBatch(packed, batch, outputs, scratch);
+      for (int n = 0; n < batch; ++n) {
+        ASSERT_TRUE(sameBytes(
+            std::span<const float>(outputs).subspan(
+                static_cast<std::size_t>(n) * outSize,
+                static_cast<std::size_t>(outSize)),
+            expected[static_cast<std::size_t>(n)]))
+            << "shape[0]=" << shape[0] << " layers=" << shape.size()
+            << " batch=" << batch << " row=" << n;
+      }
+    }
+    // The single-row paths: forward, forwardInto and the training
+    // forward's cached output, on every row kind.
+    Mlp::Cache cache;
+    std::vector<float> out(static_cast<std::size_t>(outSize));
+    for (std::size_t n = 0; n < 65; ++n) {
+      ASSERT_TRUE(sameBytes(mlp.forward(inputs[n]), expected[n])) << n;
+      mlp.forwardInto(inputs[n], out, scratch);
+      ASSERT_TRUE(sameBytes(out, expected[n])) << n;
+      mlp.forwardCachedInto(inputs[n], cache);
+      ASSERT_TRUE(sameBytes(cache.output(), expected[n])) << n;
+    }
+  }
+  // The crafted parameters must actually bring -0.0 sums to the ReLU.
+  EXPECT_GT(negativeZeroSums, 0);
 }
 
 TEST(MlpBatchTest, QuantizedForwardBatchBitEqualsLoopedForward) {
