@@ -99,6 +99,27 @@ TEST(SharedVerdictTierTest, ShardsResolveAndClearDropsEverything) {
   EXPECT_FALSE(tier.find(1).has_value());
 }
 
+TEST(SharedVerdictTierTest, StatsSumEntriesAndEvictionsOverStripes) {
+  SharedVerdictTier tier({.shards = 4, .capacityPerShard = 2});
+  constexpr std::int64_t kKeys = 64;
+  for (std::int64_t k = 1; k <= kKeys; ++k) {
+    tier.publish(static_cast<std::uint64_t>(k) * 2654435761u, {false, {}},
+                 SharedVerdictTier::Evidence::kLint);
+  }
+  // Every admitted key is either resident in its stripe or was evicted
+  // from it, and 64 keys over four two-entry stripes fill every stripe.
+  SharedVerdictTier::Stats stats = tier.stats();
+  EXPECT_EQ(stats.publishes, kKeys);
+  EXPECT_EQ(stats.entries, 4 * 2);
+  EXPECT_EQ(stats.entries + stats.evictions, kKeys);
+  // Clearing drops every stripe's entries without counting evictions.
+  tier.clear();
+  const std::int64_t evictions = stats.evictions;
+  stats = tier.stats();
+  EXPECT_EQ(stats.entries, 0);
+  EXPECT_EQ(stats.evictions, evictions);
+}
+
 // --------------------------------------------------- concurrency hammer
 
 // Four threads publish and probe overlapping fingerprint ranges through
