@@ -3,7 +3,7 @@
 //
 //  1. Throughput — scoring the anchor grid through Mlp::forwardBatch is
 //     >= 3x faster than looping the scalar forward() per candidate, and
-//     end-to-end OneStage::detect with the batched head is >= 2x faster
+//     end-to-end OneStage::detect with the batched head is >= 1.7x faster
 //     than the scalar per-candidate path. Single thread, same weights.
 //  2. Bit-equality — the batched path's detections are byte-identical to
 //     the scalar path's on every bench frame (the speedup is a pure

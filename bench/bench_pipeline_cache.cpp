@@ -86,8 +86,8 @@ Outcome runWorkload(const cv::Detector& detector, std::size_t cacheCapacity,
   }
 
   outcome.ledger += service.ledger();
-  outcome.cacheSize = service.pipeline().cache().size();
-  outcome.cacheEvictions = service.pipeline().cache().evictions();
+  outcome.cacheSize = service.verdictCache().size();
+  outcome.cacheEvictions = service.verdictCache().evictions();
   if (trace) {
     const std::string tracePath = bench::artifactPath("pipeline_trace.json");
     if (service.ledger().writeChromeTrace(tracePath)) {

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "analysis/lint.h"
 #include "core/decoration.h"
+#include "core/verdict_tier.h"
 #include "util/log.h"
 
 namespace darpa::core {
@@ -12,7 +16,7 @@ namespace darpa::core {
 DarpaService::DarpaService(const cv::Detector& detector, DarpaConfig config)
     : detector_(&detector),
       config_(config),
-      pipeline_(config.verdictCacheCapacity, config.verdictTier) {}
+      cache_(config.verdictCacheCapacity) {}
 
 DarpaService::~DarpaService() {
   if (connected()) clearDecorations();
@@ -66,20 +70,18 @@ DetectionExecutor& DarpaService::detectionExecutor() const {
 
 void DarpaService::analyzeNow() {
   if (!connected()) return;
-  android::WindowManager* wm = windowManager();
+  // A connected service always has its window manager.
+  android::WindowManager& wm = *windowManager();
 
   // Selective-monitoring guard for mid-debounce app transitions: if a
   // trusted package reached the foreground after the trigger event, its
   // screen must not be analyzed — and in particular must never touch the
   // verdict cache (neither probing it nor seeding it).
-  if (wm != nullptr && !config_.trustedPackages.empty()) {
-    const android::Window* top = wm->topAppWindow();
-    if (top != nullptr &&
-        config_.trustedPackages.contains(top->packageName())) {
-      clearDecorations();
-      burstStartAt_ = Millis{-1};
-      return;
-    }
+  const android::Window* top = wm.topAppWindow();
+  if (top != nullptr && config_.trustedPackages.contains(top->packageName())) {
+    clearDecorations();
+    burstStartAt_ = Millis{-1};
+    return;
   }
 
   ++stats_.analysesRun;
@@ -91,29 +93,170 @@ void DarpaService::analyzeNow() {
   }
   ledger_.beginAnalysis(now, debounceLatency);
 
-  // Remove our own decorations before the pipeline runs so the model never
-  // sees (and re-detects) DARPA's overlay.
+  // Remove our own decorations before the pass so the model never sees
+  // (and re-detects) DARPA's overlay.
   clearDecorations();
 
-  AnalysisContext ctx;
-  ctx.service = this;
-  ctx.config = &config_;
-  ctx.detector = detector_;
-  ctx.wm = wm;
-  ctx.vault = &vault_;
-  ctx.stats = &stats_;
-  ctx.executor = &detectionExecutor();
-  ctx.now = now;
-  pipeline_.run(ctx, ledger_);
+  // One ScreenFrame per pass: the UI dump is captured once, shared by the
+  // cache probe and lint, and later joined by the pixels. Decoration
+  // overlays are never part of the dump (they live outside the app
+  // window), so a decorated screen fingerprints like its clean self.
+  const auto frame = std::make_shared<ScreenFrame>(
+      wm.dumpTopWindow(),
+      top != nullptr ? top->packageName() : std::string{});
 
-  // A cache-served analysis counts against the tier that served it.
-  if (ctx.fromCache) {
-    ++(ctx.fromSharedTier ? stats_.verdictTierHits : stats_.verdictCacheHits);
+  Verdict verdict;
+  if (probeCaches(*frame, verdict)) {
+    // A hit in either tier resolves the analysis: straight to act.
+    for (const Stage stage :
+         {Stage::kLint, Stage::kScreenshot, Stage::kDetect, Stage::kVerdict}) {
+      ledger_.recordSkip(stage);
+    }
+  } else {
+    // A confident lint verdict resolves the screen without pixels.
+    bool resolvedByLint = false;
+    if (config_.lintPrefilter != nullptr) {
+      resolvedByLint = lint(*frame, verdict.detections);
+    } else {
+      ledger_.recordSkip(Stage::kLint);
+    }
+    bool captured = false;
+    if (resolvedByLint) {
+      ledger_.recordSkip(Stage::kScreenshot);
+    } else {
+      captured = capture(frame);
+    }
+    if (captured) {
+      // Custody of the frame moves out of the vault into the executor — a
+      // refcount move, not a pixel copy.
+      verdict.detections =
+          detectionExecutor().detect(*detector_, vault_.take());
+      ledger_.recordRun(Stage::kDetect, detector_->costMacsPerImage() /
+                                            ledger_.costs().macsPerCpuMs);
+    } else {
+      ledger_.recordSkip(Stage::kDetect);
+    }
+
+    bool hasUpo = false;
+    bool hasAgo = false;
+    for (const cv::Detection& det : verdict.detections) {
+      if (det.label == dataset::BoxLabel::kUpo) hasUpo = true;
+      if (det.label == dataset::BoxLabel::kAgo) hasAgo = true;
+    }
+    verdict.isAui = config_.requireUpoForAui ? hasUpo : (hasUpo || hasAgo);
+    ledger_.recordRun(Stage::kVerdict, ledger_.costs().verdictCpuMs);
+    // Cache only verdicts that rest on real evidence (a lint resolution or
+    // a usable capture); a transient screenshot failure must stay
+    // transient. The fleet L2 gets the evidence grade, and its poisoning
+    // guard enforces the same rule fleet-wide (an unevidenced publish is
+    // counted and dropped there).
+    if (cache_.enabled() && (resolvedByLint || captured)) {
+      cache_.put(frame->fingerprint(), verdict);
+    }
+    if (config_.verdictTier != nullptr) {
+      const auto evidence = resolvedByLint
+                                ? SharedVerdictTier::Evidence::kLint
+                                : (captured
+                                       ? SharedVerdictTier::Evidence::kCapture
+                                       : SharedVerdictTier::Evidence::kNone);
+      config_.verdictTier->publish(frame->fingerprint(), verdict, evidence);
+    }
   }
-  lastDetections_ = ctx.detections;
-  lastWasAui_ = ctx.isAui;
+
+  // Act on an AUI verdict: the auto-bypass click or decoration overlays.
+  if (verdict.isAui) {
+    ++stats_.auisFlagged;
+    if (config_.autoBypass) {
+      tryBypass(verdict.detections);
+    } else if (config_.decorate) {
+      decorate(verdict.detections);
+    }
+  } else {
+    ledger_.recordSkip(Stage::kAct);
+  }
+
+  lastDetections_ = verdict.detections;
+  lastWasAui_ = verdict.isAui;
   ledger_.endAnalysis();
-  if (analysisListener_) analysisListener_(ctx.isAui, ctx.detections);
+  if (analysisListener_) analysisListener_(verdict.isAui, verdict.detections);
+}
+
+bool DarpaService::probeCaches(const ScreenFrame& frame, Verdict& verdict) {
+  SharedVerdictTier* tier = config_.verdictTier;
+  if (!cache_.enabled() && tier == nullptr) return false;
+  ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
+  if (cache_.enabled()) {
+    if (const Verdict* cached = cache_.find(frame.fingerprint())) {
+      ledger_.recordCacheHit();
+      ++stats_.verdictCacheHits;
+      verdict = *cached;
+      return true;
+    }
+    // The L2 probe is a second lookup, priced as one.
+    if (tier != nullptr) {
+      ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
+    }
+  }
+  if (tier != nullptr) {
+    if (std::optional<Verdict> shared = tier->find(frame.fingerprint())) {
+      ledger_.recordCacheHit();
+      ++stats_.verdictTierHits;
+      verdict = std::move(*shared);
+      // Promote, so the next repeat of this screen is a session-local hit.
+      if (cache_.enabled()) cache_.put(frame.fingerprint(), verdict);
+      return true;
+    }
+  }
+  ledger_.recordCacheMiss();
+  return false;
+}
+
+bool DarpaService::lint(const ScreenFrame& frame,
+                        std::vector<cv::Detection>& detections) {
+  const analysis::LintVerdict verdict =
+      config_.lintPrefilter
+          ->run(frame.dump(), windowManager()->config().screenSize)
+          .verdict;
+  ++stats_.lintRuns;
+  ledger_.recordRun(Stage::kLint, ledger_.costs().lintCpuMs);
+  if (!verdict.confident) return false;
+  ++stats_.cvSkippedByLint;
+  if (verdict.isAui) {
+    // Lint option boxes stand in for detections.
+    const auto confidence = static_cast<float>(verdict.score);
+    for (const Rect& box : verdict.upoBoxes) {
+      detections.push_back({box, dataset::BoxLabel::kUpo, confidence});
+    }
+    for (const Rect& box : verdict.agoBoxes) {
+      detections.push_back({box, dataset::BoxLabel::kAgo, confidence});
+    }
+  }
+  return true;
+}
+
+bool DarpaService::capture(const std::shared_ptr<ScreenFrame>& frame) {
+  gfx::Bitmap shot = takeScreenshot();
+  if (shot.empty()) {
+    // A failed capture is not billable work and must not drift the stats:
+    // no screenshot was taken, so none is counted, priced, or vaulted.
+    ledger_.recordSkip(Stage::kScreenshot);
+    return false;
+  }
+  // The allocation axis reads the capture's slab provenance: a pooled
+  // reuse is the allocation the FramePool saved, anything else is a fresh
+  // heap buffer. Neither record adds modeled CPU.
+  if (shot.source() == gfx::SlabSource::kPoolReused) {
+    ledger_.recordPooledReuse(Stage::kScreenshot, shot.pixelBytes());
+  } else {
+    ledger_.recordAlloc(Stage::kScreenshot, shot.pixelBytes());
+  }
+  // The pixels join the pass's frame (zero-copy) and the vault takes
+  // shared custody of the same frame — one buffer, every holder.
+  frame->attachPixels(std::move(shot));
+  vault_.store(frame);
+  ++stats_.screenshotsTaken;
+  ledger_.recordRun(Stage::kScreenshot, ledger_.costs().screenshotCpuMs);
+  return true;
 }
 
 void DarpaService::decorate(const std::vector<cv::Detection>& detections) {

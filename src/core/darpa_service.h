@@ -7,31 +7,33 @@
 //   2. Event delivery: every UI-update event resets a cut-off timer (ct);
 //      a screen only gets analyzed once it has been stable for ct — the
 //      debounce that makes run-time CV affordable (§IV-B, Table VIII).
-//   3. Analysis: one AnalysisPipeline pass (core/pipeline.h) — lint
-//      pre-filter, screenshot, CV detection, verdict merge, act — with a
-//      screen-fingerprint verdict cache short-circuiting re-stabilized
-//      identical screens past the expensive stages.
+//   3. Analysis: one pass in analyzeNow() — verdict-cache probe (session
+//      L1, then the optional fleet L2), lint pre-filter, screenshot, CV
+//      detection, verdict merge, act. A cache hit short-circuits a
+//      re-stabilized identical screen past every expensive step.
 //   4. AUI decoration: detected options are highlighted with DecorationViews
 //      added through WindowManager.addView, calibrating screen-to-window
 //      coordinates with the invisible anchor-view trick (§IV-D, Fig. 4);
 //      optionally the UPO is auto-clicked instead (the bypass mode).
 //
-// The service itself is reduced to event debouncing plus pipeline
-// invocation; every unit of work is priced into a WorkLedger the simulated
-// device's performance model consumes for Table VII/VIII accounting.
+// Every step of a pass is priced into a WorkLedger the simulated device's
+// performance model consumes for Table VII/VIII accounting; a step the
+// routing skips is recorded as a skip.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <set>
 #include <string_view>
 #include <vector>
 
-#include <set>
-
 #include "android/accessibility.h"
 #include "core/decoration.h"
-#include "core/pipeline.h"
+#include "core/detection_executor.h"
+#include "core/screen_frame.h"
 #include "core/security.h"
+#include "core/verdict_cache.h"
 #include "core/work_ledger.h"
 #include "cv/detector.h"
 #include "util/thread_annotations.h"
@@ -41,6 +43,8 @@ class LintEngine;
 }
 
 namespace darpa::core {
+
+class SharedVerdictTier;
 
 struct DarpaConfig {
   /// Cut-off time: analyze a screen only after it stayed stable this long.
@@ -89,7 +93,7 @@ struct DarpaConfig {
   /// Optional fleet-wide shared L2 behind the session cache (borrowed;
   /// must outlive the service). Probed on L1 miss, refilled by promotion,
   /// published to on evidence-backed verdicts. Null (the default) keeps the
-  /// pipeline byte-identical to the tier-less build. Fleets own one tier
+  /// pass byte-identical to the tier-less build. Fleets own one tier
   /// and point every session at it (FleetConfig::sharedVerdictTier).
   SharedVerdictTier* verdictTier = nullptr;
   /// Detection backend (borrowed; must outlive the service). When null the
@@ -100,8 +104,8 @@ struct DarpaConfig {
 
 /// Per-session counters. Session-confined like the WorkLedger (see the
 /// thread-ownership rule in core/work_ledger.h): only the thread advancing
-/// the owning session writes them; fleets merge() value snapshots once the
-/// session has retired.
+/// the owning session writes them; fleets sum them once the session has
+/// retired.
 struct DarpaStats {
   std::int64_t eventsReceived CONFINED_TO("owning session") = 0;
   std::int64_t analysesRun CONFINED_TO("owning session") = 0;
@@ -136,10 +140,6 @@ struct DarpaStats {
     anchorMeasurements += o.anchorMeasurements;
     return *this;
   }
-  /// Named alias of operator+= for the fleet roll-up call sites.
-  DarpaStats& merge(const DarpaStats& o) { return *this += o; }
-  /// Value copy taken while the session is quiescent.
-  [[nodiscard]] DarpaStats snapshot() const { return *this; }
 };
 
 class DarpaService : public android::AccessibilityService {
@@ -167,14 +167,13 @@ class DarpaService : public android::AccessibilityService {
     return permissions_;
   }
 
-  /// The work ledger every stage prices into (perf accounting). The mutable
-  /// overload lets harnesses enable tracing or swap cost tables.
+  /// The work ledger every step of a pass prices into (perf accounting).
+  /// The mutable overload lets harnesses enable tracing or swap cost tables.
   [[nodiscard]] const WorkLedger& ledger() const { return ledger_; }
   [[nodiscard]] WorkLedger& ledger() { return ledger_; }
 
-  /// The analysis pipeline (stage list + verdict cache), for inspection.
-  [[nodiscard]] const AnalysisPipeline& pipeline() const { return pipeline_; }
-  [[nodiscard]] AnalysisPipeline& pipeline() { return pipeline_; }
+  /// The session L1 verdict cache, for inspection.
+  [[nodiscard]] const VerdictCache& verdictCache() const { return cache_; }
 
   /// The detection backend this service submits to (config_.executor, or
   /// the shared InlineExecutor when unset).
@@ -192,10 +191,12 @@ class DarpaService : public android::AccessibilityService {
   /// Removes all decoration overlays (also done before every screenshot).
   void clearDecorations();
 
-  /// Runs one analysis immediately (normally driven by the ct timer).
+  /// Runs one analysis pass immediately (normally driven by the ct timer):
+  /// build the frame, probe L1 then L2, lint, capture, detect, merge and
+  /// store the verdict, act. The pass is complete when this returns.
   void analyzeNow();
 
-  // --- act helpers (driven by the pipeline's ActStage) ----------------------
+  // --- act helpers (driven by analyzeNow() on an AUI verdict) ---------------
   /// Decorates the given detections, measuring the §IV-D window offset via
   /// the anchor-overlay trick first — the offset is only ever measured on
   /// this path, where it is actually consumed.
@@ -214,6 +215,18 @@ class DarpaService : public android::AccessibilityService {
   void tryBypass(const std::vector<cv::Detection>& detections);
 
  private:
+  /// Probes L1, then L2 on an L1 miss, pricing each lookup and counting a
+  /// hit against the tier that served it; an L2 hit is promoted into L1.
+  /// True, with `verdict` filled, on a hit. Neither cache on: no probe, no
+  /// fingerprint.
+  bool probeCaches(const ScreenFrame& frame, Verdict& verdict);
+  /// Lints the frame's dump. True when the lint verdict is confident; a
+  /// confident AUI's option boxes are appended to `detections`.
+  bool lint(const ScreenFrame& frame, std::vector<cv::Detection>& detections);
+  /// Takes the screenshot into `frame` and the vault. False, recording a
+  /// skip, when the capture came back empty.
+  bool capture(const std::shared_ptr<ScreenFrame>& frame);
+
   /// The §IV-D anchor-view trick: returns the current app window's offset
   /// on screen.
   [[nodiscard]] Point measureWindowOffset();
@@ -226,7 +239,8 @@ class DarpaService : public android::AccessibilityService {
   ScreenshotVault vault_;
   DarpaStats stats_;
   WorkLedger ledger_;
-  AnalysisPipeline pipeline_;
+  /// Session L1; capacity 0 disables it.
+  VerdictCache cache_ CONFINED_TO("owning session");
   std::function<void(bool, const std::vector<cv::Detection>&)>
       analysisListener_;
   android::TaskId pendingAnalysis_ = 0;

@@ -1,5 +1,5 @@
-// DetectionExecutor — the seam between the pipeline's detect stage and the
-// CV backend.
+// DetectionExecutor — the seam between the analysis pass's detect step and
+// the CV backend.
 //
 // The paper's runtime is one phone: one Looper, one synchronous
 // Detector::detect() call on the accessibility service's thread per stable
@@ -18,7 +18,7 @@
 //    (§IV-E rinse discipline, scrub-on-last-release).
 //
 // The seam stays so a harness can wrap detection (timing, fault injection)
-// without touching the pipeline.
+// without touching the analysis pass.
 #pragma once
 
 #include <vector>

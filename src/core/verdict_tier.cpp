@@ -2,13 +2,11 @@
 
 namespace darpa::core {
 
-SharedVerdictTier::SharedVerdictTier() : SharedVerdictTier(Options{}) {}
-
 SharedVerdictTier::SharedVerdictTier(Options options) : options_(options) {
   if (options_.shards < 1) options_.shards = 8;
   shards_.reserve(static_cast<std::size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(options_.capacityPerShard));
   }
 }
 
@@ -20,23 +18,21 @@ SharedVerdictTier::Shard& SharedVerdictTier::shardFor(
   return *shards_[static_cast<std::size_t>(mixed % shards_.size())];
 }
 
-std::optional<SharedVerdictTier::VerdictRecord> SharedVerdictTier::find(
-    std::uint64_t fingerprint) {
+std::optional<Verdict> SharedVerdictTier::find(std::uint64_t fingerprint) {
   if (!enabled()) return std::nullopt;
   Shard& shard = shardFor(fingerprint);
   const util::LockGuard lock(shard.mutex);
-  const auto it = shard.index.find(fingerprint);
-  if (it == shard.index.end()) {
+  const Verdict* hit = shard.cache.find(fingerprint);
+  if (hit == nullptr) {
     ++shard.misses;
     return std::nullopt;
   }
   ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return shard.lru.front().second;  // Copied out under the lock.
+  return *hit;  // Copied out under the lock.
 }
 
-bool SharedVerdictTier::publish(std::uint64_t fingerprint,
-                                VerdictRecord record, Evidence evidence) {
+bool SharedVerdictTier::publish(std::uint64_t fingerprint, Verdict verdict,
+                                Evidence evidence) {
   if (!enabled()) return false;
   Shard& shard = shardFor(fingerprint);
   const util::LockGuard lock(shard.mutex);
@@ -47,27 +43,14 @@ bool SharedVerdictTier::publish(std::uint64_t fingerprint,
     return false;
   }
   ++shard.publishes;
-  if (const auto it = shard.index.find(fingerprint);
-      it != shard.index.end()) {
-    it->second->second = std::move(record);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return true;
-  }
-  shard.lru.emplace_front(fingerprint, std::move(record));
-  shard.index[fingerprint] = shard.lru.begin();
-  while (shard.lru.size() > options_.capacityPerShard) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  shard.cache.put(fingerprint, std::move(verdict));
   return true;
 }
 
 void SharedVerdictTier::clear() {
   for (const auto& shard : shards_) {
     const util::LockGuard lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
+    shard->cache.clear();
   }
 }
 
@@ -79,8 +62,8 @@ SharedVerdictTier::Stats SharedVerdictTier::stats() const {
     stats.misses += shard->misses;
     stats.publishes += shard->publishes;
     stats.rejectedUnevidenced += shard->rejected;
-    stats.evictions += shard->evictions;
-    stats.entries += static_cast<std::int64_t>(shard->lru.size());
+    stats.evictions += shard->cache.evictions();
+    stats.entries += static_cast<std::int64_t>(shard->cache.size());
   }
   return stats;
 }

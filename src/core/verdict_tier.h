@@ -5,18 +5,19 @@
 // fleet scale the same popular screens recur across sessions, so every one
 // of N sessions re-learns identical fingerprints. This tier makes the
 // learning fleet-wide: a two-tier hierarchy where the per-session
-// VerdictCache (core/pipeline.h) stays the unchanged, lock-free L1 and this
+// VerdictCache (core/verdict_cache.h) stays the lock-free L1 and this
 // striped structure is the shared L2 behind it.
 //
 //   probe:   L1 find -> (miss) -> L2 find -> (hit) promote into L1
-//   publish: VerdictStage stores evidence-backed verdicts in L1 AND L2
+//   publish: the analysis pass stores its verdict in L1 (when evidenced)
+//            and publishes it to L2 with its evidence grade
 //
-// Concurrency: N-way sharded by fingerprint; each shard is a bounded LRU
-// under its own RankedMutex at LockRank::kVerdictTier — below the
-// frame-pool rank, so a slab release is legal while a tier lock is held
-// and a tier operation never waits under the pool. All shards share one
-// rank: a thread holds at most one shard lock at a time, and nothing is
-// ever called out to while it is held.
+// Concurrency: N-way sharded by fingerprint; each shard is the same
+// VerdictCache as L1, under its own RankedMutex at LockRank::kVerdictTier
+// — below the frame-pool rank, so a slab release is legal while a tier
+// lock is held and a tier operation never waits under the pool. All
+// shards share one rank: a thread holds at most one shard lock at a time,
+// and nothing is ever called out to while it is held.
 //
 // Poisoning guard: publish() mirrors L1's seeding rule — only verdicts
 // resting on real evidence (a confident lint resolution or a usable
@@ -38,14 +39,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "cv/detector.h"
+#include "core/verdict_cache.h"
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
 
@@ -62,17 +60,9 @@ class SharedVerdictTier {
     std::size_t capacityPerShard = 128;
   };
 
-  /// What one fingerprint resolves to — the same shape as the L1
-  /// VerdictCache::Entry, kept independent so the tier layers under the
-  /// pipeline instead of on top of it.
-  struct VerdictRecord {
-    bool isAui = false;
-    std::vector<cv::Detection> detections;
-  };
-
   /// What a published verdict rests on; the poisoning guard admits only
   /// evidence-backed records (kLint / kCapture), mirroring L1's seeding
-  /// rule in VerdictStage.
+  /// rule in DarpaService::analyzeNow().
   enum class Evidence {
     kNone,     ///< Screenshot failed and lint was unconfident — rejected.
     kLint,     ///< Confident static-lint resolution.
@@ -91,7 +81,6 @@ class SharedVerdictTier {
     std::int64_t entries = 0;               ///< Live records, all shards.
   };
 
-  SharedVerdictTier();  ///< Default Options.
   explicit SharedVerdictTier(Options options);
 
   [[nodiscard]] bool enabled() const { return options_.capacityPerShard > 0; }
@@ -105,13 +94,12 @@ class SharedVerdictTier {
   /// Copy-out lookup (the record is copied under the shard lock — a
   /// borrowed pointer could be evicted by another session the moment the
   /// lock drops). A hit refreshes recency. Counts a hit or miss.
-  [[nodiscard]] std::optional<VerdictRecord> find(std::uint64_t fingerprint);
+  [[nodiscard]] std::optional<Verdict> find(std::uint64_t fingerprint);
 
-  /// Admits `record` unless the poisoning guard rejects it (Evidence::
-  /// kNone). Returns whether the record was stored; re-publishing an
+  /// Admits `verdict` unless the poisoning guard rejects it (Evidence::
+  /// kNone). Returns whether the verdict was stored; re-publishing an
   /// existing fingerprint refreshes value and recency.
-  bool publish(std::uint64_t fingerprint, VerdictRecord record,
-               Evidence evidence);
+  bool publish(std::uint64_t fingerprint, Verdict verdict, Evidence evidence);
 
   /// Drops every record (counters are kept; dropped records do not count
   /// as evictions).
@@ -120,22 +108,15 @@ class SharedVerdictTier {
   [[nodiscard]] Stats stats() const;
 
  private:
-  using LruList = std::list<std::pair<std::uint64_t, VerdictRecord>>;
-
   struct Shard {
+    explicit Shard(std::size_t capacity) : cache(capacity) {}
     util::RankedMutex mutex{util::LockRank::kVerdictTier,
                             "core.SharedVerdictTier.shard"};
-    LruList lru GUARDED_BY(mutex);  ///< Front = most recently used.
-    /// Lookup index only (find/erase/assign) — never iterated, so its
-    /// unordered order cannot leak into eviction order (same contract as
-    /// the L1 cache; detlint guards it).
-    std::unordered_map<std::uint64_t, LruList::iterator> index
-        GUARDED_BY(mutex);
+    VerdictCache cache GUARDED_BY(mutex);
     std::int64_t hits GUARDED_BY(mutex) = 0;
     std::int64_t misses GUARDED_BY(mutex) = 0;
     std::int64_t publishes GUARDED_BY(mutex) = 0;
     std::int64_t rejected GUARDED_BY(mutex) = 0;
-    std::int64_t evictions GUARDED_BY(mutex) = 0;
   };
 
   [[nodiscard]] Shard& shardFor(std::uint64_t fingerprint);

@@ -42,11 +42,10 @@ void WorkLedger::endAnalysis() {
   passCpuMs_ = 0.0;
 }
 
-void WorkLedger::recordRun(Stage stage, double cpuMs, double actualUs) {
+void WorkLedger::recordRun(Stage stage, double cpuMs) {
   StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
   ++tally.runs;
   tally.cpuMs += cpuMs;
-  tally.actualUs += actualUs;
   if (inAnalysis_ && stage != Stage::kEvent) {
     // Stages of one pass are laid out back-to-back from the pass start so
     // the trace shows the modeled serial timeline of the analysis.
@@ -77,18 +76,6 @@ void WorkLedger::recordBypass() {
 
 void WorkLedger::recordCacheHit() { ++cacheHits_; }
 void WorkLedger::recordCacheMiss() { ++cacheMisses_; }
-
-void WorkLedger::recordActual(Stage stage, double actualUs) {
-  tallies_[static_cast<std::size_t>(stage)].actualUs += actualUs;
-}
-
-void WorkLedger::recordScratchGrowth(Stage stage, std::int64_t growths,
-                                     std::int64_t bytes) {
-  if (growths <= 0 && bytes <= 0) return;
-  StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
-  tally.scratchGrowths += growths;
-  tally.scratchGrownBytes += bytes;
-}
 
 void WorkLedger::recordAlloc(Stage stage, std::size_t bytes) {
   StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
@@ -145,12 +132,6 @@ double WorkLedger::totalCpuMs() const {
 
 double WorkLedger::analysisCpuMs() const {
   return totalCpuMs() - tally(Stage::kEvent).cpuMs;
-}
-
-double WorkLedger::totalActualUs() const {
-  double total = 0.0;
-  for (const StageTally& tally : tallies_) total += tally.actualUs;
-  return total;
 }
 
 WorkLedger& WorkLedger::operator+=(const WorkLedger& o) {
@@ -217,21 +198,6 @@ void WorkLedger::writeChromeTrace(std::ostream& os) const {
        << "]\", \"cat\": \"darpa\", \"ph\": \"C\", \"ts\": 0, \"pid\": 1, "
           "\"args\": {\"heap\": "
        << t.allocBytes << ", \"pooled\": " << t.pooledBytes << "}}";
-  }
-  // Wall-clock axis, same counter-track shape: measured microseconds per
-  // stage (and scratch warm-up, when any happened). Gated on actual data so
-  // traces from runs without wall-clock instrumentation are unchanged.
-  for (const Stage stage : kAllStages) {
-    const StageTally& t = tally(stage);
-    if (t.actualUs <= 0.0 && t.scratchGrowths == 0) continue;
-    if (!first) os << ",\n";
-    first = false;
-    std::snprintf(num, sizeof num, "%.3f", t.actualUs);
-    os << "  {\"name\": \"actual_us[" << stageName(stage)
-       << "]\", \"cat\": \"darpa\", \"ph\": \"C\", \"ts\": 0, \"pid\": 1, "
-          "\"args\": {\"wall_us\": "
-       << num << ", \"scratch_growths\": " << t.scratchGrowths
-       << ", \"scratch_bytes\": " << t.scratchGrownBytes << "}}";
   }
   os << "\n]}\n";
 }

@@ -20,18 +20,17 @@
 //    inspected visually.
 //
 // The per-operation CPU costs live in StageCosts — one table shared by the
-// pipeline (which prices work as it happens) and perf::DeviceModel (which
-// folds priced work into Table VII/VIII device metrics). There is exactly
-// one copy of every constant.
+// analysis pass (which prices work as it happens) and perf::DeviceModel
+// (which folds priced work into Table VII/VIII device metrics). There is
+// exactly one copy of every constant.
 //
 // Thread-ownership rule (fleet scale): a WorkLedger is SESSION-CONFINED —
 // only the thread currently advancing its DeviceSession may record into it,
 // and sessions never share a ledger. The ledger itself carries no
 // synchronization; aggregation happens only when the owning session is
-// quiescent. In a fleet, Fleet::snapshot() snapshot()s every session's
-// ledger after run() has joined the workers (the join is the
-// happens-before edge) and merges them in session-id order, keeping double
-// addition bit-reproducible.
+// quiescent. In a fleet, Fleet::snapshot() sums every session's ledger
+// after run() has joined the workers (the join is the happens-before edge),
+// in session-id order, keeping double addition bit-reproducible.
 #pragma once
 
 #include <array>
@@ -85,13 +84,6 @@ struct StageTally {
   std::int64_t skips = 0;  ///< Times the pipeline skipped it (cache/lint).
   double cpuMs = 0.0;      ///< Modeled CPU-ms spent in the stage.
 
-  // Wall-clock axis: real host microseconds measured around the stage's
-  // execution (steady_clock). Strictly observability — it varies run to
-  // run and with worker count, so NOTHING digest-stable (totalCpuMs, the
-  // Table VII rows, the bench digests) may ever read it. The modeled cpuMs
-  // above stays the deterministic axis.
-  double actualUs = 0.0;  ///< Measured wall-clock microseconds.
-
   // Allocation axis (the zero-copy data plane's accounting): heap buffers
   // the stage allocated vs. pooled slabs it reused. Recording an allocation
   // adds NO modeled CPU — memory traffic and CPU pricing are orthogonal
@@ -101,25 +93,14 @@ struct StageTally {
   std::int64_t pooledReuses = 0;   ///< Buffers served from the FramePool.
   std::int64_t pooledBytes = 0;    ///< Bytes served without heap traffic.
 
-  // Scratch-arena axis: warm-up growths of the detector hot path's reusable
-  // buffers (cell plan, descriptor tile, activation planes, feature
-  // planes). Kept
-  // apart from the allocation axis above so scratch warm-up can never
-  // perturb peakFrameBytes or the frame-pool economy contract.
-  std::int64_t scratchGrowths = 0;
-  std::int64_t scratchGrownBytes = 0;
-
   StageTally& operator+=(const StageTally& o) {
     runs += o.runs;
     skips += o.skips;
     cpuMs += o.cpuMs;
-    actualUs += o.actualUs;
     allocs += o.allocs;
     allocBytes += o.allocBytes;
     pooledReuses += o.pooledReuses;
     pooledBytes += o.pooledBytes;
-    scratchGrowths += o.scratchGrowths;
-    scratchGrownBytes += o.scratchGrownBytes;
     return *this;
   }
 };
@@ -131,7 +112,7 @@ class WorkLedger {
 
   [[nodiscard]] const StageCosts& costs() const { return costs_; }
 
-  // --- recording (called by the service / pipeline stages) -----------------
+  // --- recording (called by the service's analysis pass) -------------------
 
   /// One delivered accessibility event at simulated time `simNow`.
   void recordEvent(Millis simNow);
@@ -142,11 +123,8 @@ class WorkLedger {
   /// Closes the pass and folds its modeled latency into the totals.
   void endAnalysis();
 
-  /// Stage executed, costing `cpuMs` of modeled CPU. `actualUs`, when
-  /// known, is the measured wall-clock microseconds of the same execution
-  /// (steady_clock, observability only — never feeds totalCpuMs or any
-  /// digest-stable quantity).
-  void recordRun(Stage stage, double cpuMs, double actualUs = 0.0);
+  /// Stage executed, costing `cpuMs` of modeled CPU.
+  void recordRun(Stage stage, double cpuMs);
   /// `n` executions of the same stage at `cpuMsEach` (bench convenience).
   void recordRuns(Stage stage, std::int64_t n, double cpuMsEach);
   /// Stage skipped by pipeline routing (cache hit, lint short-circuit...).
@@ -168,16 +146,6 @@ class WorkLedger {
   /// FramePool saved. Adds no modeled CPU.
   void recordPooledReuse(Stage stage, std::size_t bytes);
 
-  /// Measured wall-clock microseconds for a stage execution whose modeled
-  /// cost was recorded elsewhere (or not at all). Pure observability.
-  void recordActual(Stage stage, double actualUs);
-  /// `growths` scratch-arena growth events totalling `bytes`, attributed to
-  /// `stage`. Tracks detector hot-path warm-up; deliberately NOT folded
-  /// into the allocation axis (no recordAlloc) so it cannot move
-  /// peakFrameBytes or the pool economy.
-  void recordScratchGrowth(Stage stage, std::int64_t growths,
-                           std::int64_t bytes);
-
   // --- queries --------------------------------------------------------------
   [[nodiscard]] const StageTally& tally(Stage stage) const {
     return tallies_[static_cast<std::size_t>(stage)];
@@ -186,9 +154,6 @@ class WorkLedger {
   [[nodiscard]] double totalCpuMs() const;
   /// Modeled CPU-ms of the analysis path only (everything but kEvent).
   [[nodiscard]] double analysisCpuMs() const;
-  /// Measured wall-clock microseconds across every stage (observability
-  /// only — varies run to run, never part of any digest).
-  [[nodiscard]] double totalActualUs() const;
 
   [[nodiscard]] std::int64_t analyses() const { return analyses_; }
   [[nodiscard]] std::int64_t decorations() const { return decorations_; }
@@ -222,16 +187,11 @@ class WorkLedger {
     return totalDebounceLatency_;
   }
 
-  /// Merges another ledger's tallies/counters (per-app session roll-up).
-  /// Trace events are appended up to this ledger's trace capacity.
+  /// Merges another ledger's tallies/counters (per-app session and fleet
+  /// roll-ups). Per the thread-ownership rule above, `o`'s session must be
+  /// quiescent. Trace events are appended up to this ledger's trace
+  /// capacity.
   WorkLedger& operator+=(const WorkLedger& o);
-
-  // --- aggregation (fleet roll-up) ------------------------------------------
-  /// Value copy for merging off-thread. Per the thread-ownership rule
-  /// above, call only while the owning session is quiescent.
-  [[nodiscard]] WorkLedger snapshot() const { return *this; }
-  /// Named alias of operator+= for the fleet roll-up call sites.
-  WorkLedger& merge(const WorkLedger& o) { return *this += o; }
 
   // --- Chrome trace ---------------------------------------------------------
   /// Enables the bounded trace-event log. Events beyond `maxEvents` are
@@ -260,7 +220,7 @@ class WorkLedger {
   // Every member is session-confined per the thread-ownership rule above:
   // no lock anywhere in this class is not an accident, it is the contract.
   // CONFINED_TO documents it where the state lives; cross-session merges
-  // happen only on snapshot() copies of quiescent sessions.
+  // read only quiescent sessions.
   StageCosts costs_ CONFINED_TO("owning session");
   std::array<StageTally, kStageCount> tallies_ CONFINED_TO("owning session"){};
   std::int64_t analyses_ = 0;

@@ -22,10 +22,8 @@ Fleet::Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
 
   if (config_.pooledFrames) pool_ = std::make_unique<gfx::FramePool>();
   if (config_.sharedVerdictTier) {
-    if (config_.verdictTier.shards < 1) {
-      config_.verdictTier.shards = config_.workers;
-    }
-    tier_ = std::make_unique<core::SharedVerdictTier>(config_.verdictTier);
+    tier_ = std::make_unique<core::SharedVerdictTier>(
+        core::SharedVerdictTier::Options{.shards = config_.workers});
   }
 
   // Session seeding mirrors bench_runtime.h's per-app draw order (profile,
@@ -99,8 +97,8 @@ FleetSnapshot Fleet::snapshot() const {
   snap.sessions = static_cast<int>(sessions_.size());
   snap.simTime = started_ ? now_ : Millis{0};
   for (const auto& session : sessions_) {
-    snap.stats.merge(session->stats().snapshot());
-    snap.ledger.merge(session->ledger().snapshot());
+    snap.stats += session->stats();
+    snap.ledger += session->ledger();
     snap.eventsEmitted += session->eventsEmitted();
     snap.auiExposures += session->auiExposures();
     snap.auisCovered += session->auisCovered();

@@ -59,10 +59,9 @@ struct FleetConfig {
   /// tier-less fleet is byte-identical to the pre-tier build. On, sessions
   /// share verdicts for recurring screens — per-session verdicts are
   /// unchanged, only who pays for them moves, so digests trade
-  /// byte-equality for verdict equivalence (see verdict_tier.h).
+  /// byte-equality for verdict equivalence (see verdict_tier.h). The
+  /// tier has one stripe per worker.
   bool sharedVerdictTier = false;
-  core::SharedVerdictTier::Options verdictTier;  ///< shards=0 resolves to
-                                                 ///< the worker count.
 };
 
 /// Fleet-wide roll-up.
@@ -145,7 +144,7 @@ class Fleet {
   /// points back into the pool, so it must outlive all session state.
   std::unique_ptr<gfx::FramePool> pool_;
   /// Declared before sessions_ for the same lifetime rule: every session's
-  /// pipeline holds a borrowed tier pointer.
+  /// service holds a borrowed tier pointer.
   std::unique_ptr<core::SharedVerdictTier> tier_;
   /// The vector itself is fixed after construction; each element is
   /// confined to the worker currently running its slice (hand-offs happen

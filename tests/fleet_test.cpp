@@ -188,7 +188,7 @@ TEST(FleetTest, InlineFleetMatchesIndependentDeviceSessions) {
     session.duration = config.duration;
     DeviceSession device(detector, std::move(session));
     device.runToCompletion();
-    manual.merge(device.stats().snapshot());
+    manual += device.stats();
   }
   expectStatsEq(snap.stats, manual);
 }

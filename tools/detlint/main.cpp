@@ -13,8 +13,8 @@
 //   wall-clock-in-digest-path
 //       wallMicros / std::chrono / steady_clock / gettimeofday / ... inside
 //       digest-affecting code. Wall time varies run to run; anything it
-//       feeds cannot be byte-stable. The WorkLedger's observability axis is
-//       the one audited exception (explicit allow regions).
+//       feeds cannot be byte-stable. The scheduler's finish-time metrics
+//       are the one audited exception (explicit allow regions).
 //   ambient-rng-in-digest-path
 //       rand / srand / std::random_device / arc4random inside
 //       digest-affecting code. All randomness must flow from the seeded
