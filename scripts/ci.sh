@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build, test (which includes the detlint
-# determinism-lint gates), the same again under ASan+UBSan, a TSan lane
+# determinism-lint gates), a portable lane that reruns the bit-exactness
+# tests without -march=native, the same again under ASan+UBSan, a TSan lane
 # over the threaded fleet/scheduler tests, a bench smoke lane (every
 # bench binary once with --quick), a Release perf-smoke lane (the
 # detector hot-path bench's speedup/zero-alloc contracts need optimized
@@ -16,7 +17,7 @@
 #   SKIP_SANITIZE=1 scripts/ci.sh   # skip the sanitizer rebuilds + reruns
 #   SKIP_BENCH=1 scripts/ci.sh      # skip the bench smoke + perf lanes
 #
-# Uses build/, build-asan/, build-tsan/, build-perf/ and
+# Uses build/, build-portable/, build-asan/, build-tsan/, build-perf/ and
 # build-tsa/ at the repo root; all gitignored.
 set -euo pipefail
 
@@ -34,6 +35,18 @@ echo "== detlint (determinism/concurrency source lint) =="
 # Redundant with the DetlintRepo ctest gate above, but run explicitly so a
 # lint failure is reported as its own lane with the findings on stdout.
 ./build/tools/detlint/detlint --root .
+
+echo "== configure + build, portable (build-portable/) =="
+# The tree above builds with -march=native. The vector kernels (the head's
+# tile kernel, blendSpan's 16-pixel block) and the feature pass claim bits
+# that do not depend on the host's lane width, so the bit-exactness suites
+# run again on a build with DARPA_NATIVE_SIMD off (baseline ISA).
+cmake -B build-portable -S . -DDARPA_NATIVE_SIMD=OFF
+cmake --build build-portable -j "$JOBS" --target darpa_tests
+
+echo "== ctest, portable bit-exactness tests (build-portable/) =="
+ctest --test-dir build-portable --output-on-failure -j "$JOBS" \
+  -R 'BlendOracle|RasterOracle|FusedFeatureParityTest|FeatureLumaTest|MlpBatchTest|OneStageTest'
 
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   echo "== configure + build, ASan+UBSan (build-asan/) =="

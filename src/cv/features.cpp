@@ -23,12 +23,19 @@ namespace {
 inline std::int32_t intLuma(Color c) {
   return 299 * c.r + 587 * c.g + 114 * c.b;
 }
-constexpr double kIntLumaScale = 255'000.0;
+// The two double divisions of the pass, as multiplies by the reciprocal:
+// float(i * (1 / D)) equals float(i / D) for every integer i in [0, D]
+// with D = 255'000 (luma) and D = 25 * 255'000 (contrast); FeatureLumaTest
+// checks both domains exhaustively. The float divisions by 255 and 442
+// (saturation, saliency) are not equal this way and stay divisions.
+constexpr double kInvIntLumaScale = 1.0 / 255'000.0;
+constexpr double kInvContrastScale = 1.0 / (25.0 * 255'000.0);
 
 // Per-thread arena for the fused feature pass: plane buffers reused across
 // FeatureMap constructions, growth-counted for the zero-steady-state-
 // allocation contract.
 struct FeatureScratch {
+  std::vector<Color> small;         ///< The decimated screenshot.
   std::vector<float> lumaF;         ///< Float luma plane (Sobel input).
   std::vector<std::int32_t> lumaI;  ///< Integer luma plane (contrast input).
   std::vector<std::int32_t> hsum;   ///< Horizontal 5-tap sums, full plane.
@@ -82,11 +89,8 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
     : scale_(std::max(scale, 1)),
       fullSize_(screenshot.size()),
       channels_(channels) {
-  const gfx::Bitmap small = screenshot.downscale(
-      std::max(screenshot.width() / scale_, 1),
-      std::max(screenshot.height() / scale_, 1));
-  width_ = small.width();
-  height_ = small.height();
+  width_ = std::max(screenshot.width() / scale_, 1);
+  height_ = std::max(screenshot.height() / scale_, 1);
   const int w = width_;
   const int h = height_;
 
@@ -98,6 +102,11 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
 
   FeatureScratch& s = featureScratch();
   ++s.stats.frames;
+  const std::size_t n = static_cast<std::size_t>(w) * h;
+  // Decimate into the arena: downscaleInto writes every pixel, so a reused
+  // buffer carries nothing over from a previous frame.
+  Color* const small = s.ensure(s.small, n);
+  screenshot.downscaleInto(w, h, small);
 
   // Integral cells: recycle a retired buffer when one is pooled. The prefix
   // pass below writes every cell of rows 1..h and columns 1..w (a disabled
@@ -123,20 +132,29 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
     std::fill(cell, cell + kChannelCount, 0.0);
   }
 
-  const std::size_t n = static_cast<std::size_t>(w) * h;
   // The luma planes always exist: edge and contrast derive from luma even
-  // when the luma channel itself is disabled.
+  // when the luma channel itself is disabled. The same pass sums r, g and b
+  // for the saliency channel's global mean colour: the totals and the
+  // truncating divide of Bitmap::meanColor over the decimated frame.
   float* lumaF = s.ensure(s.lumaF, n);
   std::int32_t* lumaI = s.ensure(s.lumaI, n);
+  std::uint64_t sumR = 0, sumG = 0, sumB = 0;
   for (int y = 0; y < h; ++y) {
-    const Color* px = small.row(y);
+    const Color* __restrict px = small + static_cast<std::size_t>(y) * w;
     std::int32_t* __restrict li = lumaI + static_cast<std::size_t>(y) * w;
     float* __restrict lf = lumaF + static_cast<std::size_t>(y) * w;
     for (int x = 0; x < w; ++x) {
-      li[x] = intLuma(px[x]);
-      lf[x] = static_cast<float>(li[x] / kIntLumaScale);
+      const Color c = px[x];
+      li[x] = intLuma(c);
+      lf[x] = static_cast<float>(li[x] * kInvIntLumaScale);
+      sumR += c.r;
+      sumG += c.g;
+      sumB += c.b;
     }
   }
+  const Color meanColor = Color::rgb(static_cast<std::uint8_t>(sumR / n),
+                                     static_cast<std::uint8_t>(sumG / n),
+                                     static_cast<std::uint8_t>(sumB / n));
 
   // Contrast pre-pass: horizontal 5-tap sliding sums of integer luma per
   // row (clamped columns), then a vertical sliding sum over those rows.
@@ -170,9 +188,6 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       vsum[x] = v;
     }
   }
-
-  // Global mean color for the saliency channel.
-  const Color meanColor = small.meanColor(small.bounds());
 
   // Per row: each channel's values into its own float row (plain loops over
   // x, no cross-channel state, so they vectorize), then one prefix pass
@@ -208,13 +223,12 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
     }
     if (wantContrast) {
       // |luma - mean(5x5)| = |25*luma - windowSum| / (25 * lumaScale),
-      // exact integers (|diff| <= 6'375'000) until the final division.
+      // exact integers (|diff| <= 6'375'000) until the final scaling.
       const std::int32_t* L = lumaI + row;
       for (int x = 0; x < w; ++x) {
         const std::int32_t diff = 25 * L[x] - vsum[x];
         vContrast[x] = static_cast<float>(
-            static_cast<double>(diff < 0 ? -diff : diff) /
-            (25.0 * kIntLumaScale));
+            static_cast<double>(diff < 0 ? -diff : diff) * kInvContrastScale);
       }
       // Slide the vertical window down one row: add the row entering the
       // window, drop the row leaving it (both clamped).
@@ -229,7 +243,7 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       std::fill(vContrast, vContrast + w, 0.0f);
     }
     if (wantSat || wantSal) {
-      const Color* px = small.row(y);
+      const Color* px = small + row;
       for (int x = 0; x < w; ++x) {
         const Color c = px[x];
         const int mx = std::max({c.r, c.g, c.b});

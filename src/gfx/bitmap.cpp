@@ -9,6 +9,21 @@
 
 namespace darpa::gfx {
 
+namespace {
+
+// blendSpan's vector block, in the style of the head kernel (nn/mlp.cpp):
+// GCC vector values with plain element-wise arithmetic, no intrinsics, so
+// the bits do not depend on the target's lane width. Vectors never cross a
+// function boundary; loads and stores are memcpy.
+constexpr int kBlendPixels = 16;
+constexpr int kBlendLanes = kBlendPixels * 4;  // r, g, b, a per pixel
+static_assert(sizeof(Color) == 4, "a pixel is four channel bytes");
+using Bytes = std::uint8_t __attribute__((vector_size(kBlendLanes)));
+using Lanes = std::uint16_t
+    __attribute__((vector_size(kBlendLanes * sizeof(std::uint16_t))));
+
+}  // namespace
+
 const char* slabSourceName(SlabSource source) {
   switch (source) {
     case SlabSource::kNone: return "none";
@@ -119,15 +134,49 @@ void Bitmap::blendSpan(int y, int x0, int x1, Color c) {
   const int sr = c.r * c.a;
   const int sg = c.g * c.a;
   const int sb = c.b * c.a;
-  for (Color* p = row + x0; p != row + x1; ++p) {
-    if (p->a != 255) {
-      *p = blend(*p, c);
-      continue;
+  const auto perPixel = [&](Color* p, Color* end) {
+    for (; p != end; ++p) {
+      if (p->a != 255) {
+        *p = blend(*p, c);
+        continue;
+      }
+      p->r = static_cast<std::uint8_t>((sr + p->r * inv) / 255);
+      p->g = static_cast<std::uint8_t>((sg + p->g * inv) / 255);
+      p->b = static_cast<std::uint8_t>((sb + p->b * inv) / 255);
     }
-    p->r = static_cast<std::uint8_t>((sr + p->r * inv) / 255);
-    p->g = static_cast<std::uint8_t>((sg + p->g * inv) / 255);
-    p->b = static_cast<std::uint8_t>((sb + p->b * inv) / 255);
+  };
+  // The same branch on blocks of kBlendPixels opaque pixels, one uint16
+  // lane per channel byte: X = s·sa + d·(255−sa) <= 65025 fits a lane, and
+  // (X + 1 + (X >> 8)) >> 8 equals X / 255 for every such X (DESIGN §17).
+  // The alpha lane's source term is 255·sa, so it yields
+  // (255·sa + 255·(255−sa)) / 255 = 255. A block holding any translucent
+  // pixel, and the tail, take the per-pixel loop.
+  Color* p = row + x0;
+  Color* const end = row + x1;
+  if (end - p >= kBlendPixels) {
+    Lanes src{};
+    for (int i = 0; i < kBlendLanes; i += 4) {
+      src[i] = static_cast<std::uint16_t>(sr);
+      src[i + 1] = static_cast<std::uint16_t>(sg);
+      src[i + 2] = static_cast<std::uint16_t>(sb);
+      src[i + 3] = static_cast<std::uint16_t>(255 * c.a);
+    }
+    const auto invLane = static_cast<std::uint16_t>(inv);
+    for (; end - p >= kBlendPixels; p += kBlendPixels) {
+      std::uint8_t alpha = 255;
+      for (int i = 0; i < kBlendPixels; ++i) alpha &= p[i].a;
+      if (alpha != 255) {
+        perPixel(p, p + kBlendPixels);
+        continue;
+      }
+      Bytes d;
+      std::memcpy(&d, p, sizeof(Bytes));
+      const Lanes x = src + __builtin_convertvector(d, Lanes) * invLane;
+      const Bytes q = __builtin_convertvector((x + 1 + (x >> 8)) >> 8, Bytes);
+      std::memcpy(static_cast<void*>(p), &q, sizeof(Bytes));
+    }
   }
+  perPixel(p, end);
 }
 
 void Bitmap::fill(Color c) {
@@ -158,18 +207,28 @@ Bitmap Bitmap::downscale(int newWidth, int newHeight) const {
   newWidth = std::max(newWidth, 1);
   newHeight = std::max(newHeight, 1);
   Bitmap out(newWidth, newHeight);
-  if (empty()) return out;
+  downscaleInto(newWidth, newHeight, out.data_);
+  return out;
+}
+
+void Bitmap::downscaleInto(int newWidth, int newHeight, Color* out) const {
+  if (empty()) {
+    std::fill(out, out + static_cast<std::size_t>(newWidth) * newHeight,
+              colors::kWhite);
+    return;
+  }
   if (width_ == 2 * newWidth && height_ == 2 * newHeight) {
     // Exact 2x decimation (the detector's featureScale=2 case): every output
     // pixel averages a full 2x2 block, so the general path's bounds
     // arithmetic and per-pixel divides collapse to a shift. The sums and the
     // truncating division by 4 are the very ones the general path computes.
     for (int oy = 0; oy < newHeight; ++oy) {
-      const int y0 = 2 * oy;
+      const Color* __restrict r0 = row(2 * oy);
+      const Color* __restrict r1 = r0 + width_;
+      Color* __restrict o = out + static_cast<std::size_t>(oy) * newWidth;
       for (int ox = 0; ox < newWidth; ++ox) {
-        const int x0 = 2 * ox;
-        const Color c00 = at(x0, y0), c01 = at(x0 + 1, y0);
-        const Color c10 = at(x0, y0 + 1), c11 = at(x0 + 1, y0 + 1);
+        const Color c00 = r0[2 * ox], c01 = r0[2 * ox + 1];
+        const Color c10 = r1[2 * ox], c11 = r1[2 * ox + 1];
         const std::uint32_t r = static_cast<std::uint32_t>(c00.r) + c01.r +
                                 c10.r + c11.r;
         const std::uint32_t g = static_cast<std::uint32_t>(c00.g) + c01.g +
@@ -178,14 +237,13 @@ Bitmap Bitmap::downscale(int newWidth, int newHeight) const {
                                 c10.b + c11.b;
         const std::uint32_t a = static_cast<std::uint32_t>(c00.a) + c01.a +
                                 c10.a + c11.a;
-        out.set(ox, oy,
-                {static_cast<std::uint8_t>(r >> 2),
+        o[ox] = {static_cast<std::uint8_t>(r >> 2),
                  static_cast<std::uint8_t>(g >> 2),
                  static_cast<std::uint8_t>(b >> 2),
-                 static_cast<std::uint8_t>(a >> 2)});
+                 static_cast<std::uint8_t>(a >> 2)};
       }
     }
-    return out;
+    return;
   }
   for (int oy = 0; oy < newHeight; ++oy) {
     const int y0 = oy * height_ / newHeight;
@@ -206,14 +264,11 @@ Bitmap Bitmap::downscale(int newWidth, int newHeight) const {
       const std::uint64_t n =
           static_cast<std::uint64_t>(std::min(y1, height_) - y0) *
           (std::min(x1, width_) - x0);
-      out.set(ox, oy,
-              {static_cast<std::uint8_t>(r / n),
-               static_cast<std::uint8_t>(g / n),
-               static_cast<std::uint8_t>(b / n),
-               static_cast<std::uint8_t>(a / n)});
+      out[static_cast<std::size_t>(oy) * newWidth + ox] = {
+          static_cast<std::uint8_t>(r / n), static_cast<std::uint8_t>(g / n),
+          static_cast<std::uint8_t>(b / n), static_cast<std::uint8_t>(a / n)};
     }
   }
-  return out;
 }
 
 void Bitmap::boxBlur(const Rect& region, int radius) {

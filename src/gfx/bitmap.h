@@ -122,7 +122,8 @@ class Bitmap {
 
   /// Alpha-blends `c` onto pixels [x0, x1) of row y — the one primitive
   /// every Canvas filler paints through. Same pixels as blendPixel over the
-  /// range: an opaque `c` overwrites the span, alpha 0 leaves it alone.
+  /// range: an opaque `c` overwrites the span, alpha 0 leaves it alone, and
+  /// a translucent `c` blends 16-pixel blocks of opaque pixels as vectors.
   /// Caller guarantees 0 <= y < height and 0 <= x0 <= x1 <= width; debug
   /// and sanitizer builds assert it once per span (DARPA_BOUNDS_CHECKS).
   void blendSpan(int y, int x0, int x1, Color c);
@@ -133,8 +134,15 @@ class Bitmap {
   /// Copy of the sub-region clipped to bounds.
   [[nodiscard]] Bitmap crop(const Rect& r) const;
 
-  /// Box-filter downscale to the given size (both dims >= 1).
+  /// Box-filter downscale to the given size (both dims >= 1); a bitmap
+  /// over downscaleInto.
   [[nodiscard]] Bitmap downscale(int newWidth, int newHeight) const;
+
+  /// The box-filter decimation itself: writes all newWidth*newHeight pixels
+  /// of the downscaled image, row-major, to `out` (both dims >= 1). An empty
+  /// bitmap decimates to white, like a fresh Bitmap. `out` must not overlap
+  /// this bitmap's pixels.
+  void downscaleInto(int newWidth, int newHeight, Color* out) const;
 
   /// Separable box blur with the given radius (>= 1), clipped to `region`.
   void boxBlur(const Rect& region, int radius);

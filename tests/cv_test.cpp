@@ -568,6 +568,56 @@ TEST(FusedFeatureParityTest, FullFrameAtDetectorScale) {
                               2, "360x720 scale=2");
 }
 
+TEST(FusedFeatureParityTest, ArenaReuseAcrossSizesMatchesReference) {
+  // The decimated frame lives in the thread's FeatureScratch arena. Walk
+  // shrinking and growing frames, each against the naive reference (which
+  // decimates into a fresh bitmap), so a pixel the decimation failed to
+  // overwrite would surface as a stale value from the previous size. After
+  // one lap over the sizes the arena has seen them all and stops growing.
+  const std::array<std::array<int, 2>, 4> sizes = {
+      {{360, 720}, {40, 30}, {361, 719}, {360, 720}}};
+  std::int64_t growthsAfterFirstLap = 0;
+  for (int lap = 0; lap < 2; ++lap) {
+    std::uint64_t seed = 5150;
+    for (const auto& size : sizes) {
+      expectFusedMatchesReference(
+          randomBitmap(size[0], size[1], ++seed), ChannelSet::all(), 2,
+          "lap " + std::to_string(lap) + " " + std::to_string(size[0]) + "x" +
+              std::to_string(size[1]));
+    }
+    if (lap == 0) growthsAfterFirstLap = featureScratchStats().growths;
+  }
+  EXPECT_EQ(featureScratchStats().growths, growthsAfterFirstLap);
+}
+
+TEST(FusedFeatureParityTest, EmptyScreenshotReadsAsOneWhiteCell) {
+  // An empty screenshot decimates to a 1x1 white frame: luma 1, every other
+  // channel 0. Dirty the arena with a full frame first, so the white cell
+  // cannot come from a freshly zeroed buffer.
+  { const FeatureMap dirty(randomBitmap(360, 720, 77), ChannelSet::all(), 2); }
+  const gfx::Bitmap empty;
+  for (const int scale : {1, 2, 4}) {
+    const FeatureMap map(empty, ChannelSet::all(), scale);
+    EXPECT_EQ(map.width(), 1);
+    EXPECT_EQ(map.height(), 1);
+    EXPECT_EQ(map.fullSize().width, 0);
+    EXPECT_EQ(map.fullSize().height, 0);
+    const Rect cell{0, 0, scale, scale};
+    EXPECT_EQ(map.boxMean(Channel::kLuma, cell), 1.0f);
+    EXPECT_EQ(map.globalMean(Channel::kLuma), 1.0f);
+    for (const Channel c : {Channel::kEdge, Channel::kContrast,
+                            Channel::kSaturation, Channel::kSaliency}) {
+      EXPECT_EQ(map.boxMean(c, cell), 0.0f) << channelName(c);
+      EXPECT_EQ(map.globalMean(c), 0.0f) << channelName(c);
+    }
+    // At scale 1 the frame's central half is an empty rect (mean 0), so
+    // the surround carries all of the luma: 0 − 1 / 0.75.
+    EXPECT_EQ(map.centerSurroundLuma(),
+              scale == 1 ? static_cast<float>(-1.0 / 0.75) : 0.0f);
+    expectFusedMatchesReference(empty, ChannelSet::all(), scale, "empty");
+  }
+}
+
 TEST(FeatureLumaTest, IntegerLumaGivesDoubleLumaForEveryColour) {
   // The feature pass builds its float luma plane as
   // float(intLuma / 255000.0) instead of float(luma(c) / 255.0). The two
@@ -591,6 +641,34 @@ TEST(FeatureLumaTest, IntegerLumaGivesDoubleLumaForEveryColour) {
   }
   EXPECT_EQ(mismatches, 0) << "first mismatch at rgb(" << int{first.r} << ","
                            << int{first.g} << "," << int{first.b} << ")";
+}
+
+/// Integers i in [0, limit] where float(i * (1 / d)) differs from
+/// float(i / d) in any bit.
+std::int64_t reciprocalMismatches(std::int32_t limit, double d) {
+  const double inverse = 1.0 / d;
+  std::int64_t mismatches = 0;
+  for (std::int32_t i = 0; i <= limit; ++i) {
+    const auto viaDivide = static_cast<float>(static_cast<double>(i) / d);
+    const auto viaInverse = static_cast<float>(static_cast<double>(i) * inverse);
+    if (std::memcmp(&viaDivide, &viaInverse, sizeof(float)) != 0) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(FeatureLumaTest, ReciprocalScalesEqualTheDivisionsOnTheirDomains) {
+  // The feature pass scales its two integer planes by a reciprocal instead
+  // of dividing: float luma is intLuma * (1 / 255000.0), intLuma in
+  // [0, 255000], and contrast is |25·luma − windowSum| * (1 / 6375000.0),
+  // |diff| in [0, 6375000]. On both whole domains the product rounds to the
+  // same float as the quotient.
+  EXPECT_EQ(reciprocalMismatches(255'000, 255'000.0), 0);
+  EXPECT_EQ(reciprocalMismatches(6'375'000, 25.0 * 255'000.0), 0);
+  // Saturation, float(max−min) / 255.0f, and saliency,
+  // sqrtf(dr²+dg²+db²) / 442.0f, stay divisions: times a float reciprocal
+  // they differ on 126 of the 256 values of max−min and on 110,287 of the
+  // square roots of 0…3·255² (checked exhaustively when the two were
+  // converted).
 }
 
 /// The grid candidates of `config` over a frame of `size`, in detect()'s

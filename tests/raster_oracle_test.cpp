@@ -361,6 +361,106 @@ TEST(BlendOracle, TranslucentDestinationUnchanged) {
   EXPECT_EQ(mismatches, 0);
 }
 
+/// Pixels of `bmp` that differ from `expected`.
+long countMismatches(const Bitmap& bmp, const Bitmap& expected) {
+  long mismatches = 0;
+  for (int y = 0; y < bmp.height(); ++y) {
+    for (int x = 0; x < bmp.width(); ++x) {
+      if (bmp.at(x, y) != expected.at(x, y)) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(BlendOracle, SpanBlendMatchesPerPixel) {
+  // blendSpan's vector block divides by 255 as (X + 1 + (X >> 8)) >> 8;
+  // X = s·sa + d·(255−sa) never exceeds 65025.
+  long identityMisses = 0;
+  for (int x = 0; x <= 65025; ++x) {
+    if (((x + 1 + (x >> 8)) >> 8) != x / 255) ++identityMisses;
+  }
+  EXPECT_EQ(identityMisses, 0);
+
+  // Every (sa, s) onto a 256-pixel opaque row holding d = 0…255: sixteen
+  // full blocks, so every pixel takes the vector path. The other two
+  // channels carry complemented and scrambled values, as above.
+  long mismatches = 0;
+  Bitmap row(256, 1);
+  for (int sa = 0; sa < 256; ++sa) {
+    for (int s = 0; s < 256; ++s) {
+      const Color src = Color::rgba(static_cast<std::uint8_t>(s),
+                                    static_cast<std::uint8_t>(255 - s),
+                                    static_cast<std::uint8_t>(s ^ 0x5a),
+                                    static_cast<std::uint8_t>(sa));
+      for (int d = 0; d < 256; ++d) {
+        row.set(d, 0, Color::rgb(static_cast<std::uint8_t>(d),
+                                 static_cast<std::uint8_t>(d ^ 0xa5),
+                                 static_cast<std::uint8_t>(255 - d)));
+      }
+      row.blendSpan(0, 0, 256, src);
+      for (int d = 0; d < 256; ++d) {
+        const Color dst = Color::rgb(static_cast<std::uint8_t>(d),
+                                     static_cast<std::uint8_t>(d ^ 0xa5),
+                                     static_cast<std::uint8_t>(255 - d));
+        if (row.at(d, 0) != referenceBlend(dst, src)) ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  // Span lengths 1…40 at offsets 0…15: every split into full blocks and a
+  // per-pixel tail, with the pixels outside the span left alone.
+  const auto pattern = [](int x, int y) {
+    return Color::rgb(static_cast<std::uint8_t>(x * 37 + y),
+                      static_cast<std::uint8_t>(x * 11 + 3 * y),
+                      static_cast<std::uint8_t>(255 - x * 5));
+  };
+  for (const int alpha : {1, 128, 254}) {
+    const Color src = Color::rgba(200, 40, 90, static_cast<std::uint8_t>(alpha));
+    for (int offset = 0; offset < 16; ++offset) {
+      for (int length = 1; length <= 40; ++length) {
+        Bitmap actual(64, 1);
+        Bitmap expected(64, 1);
+        for (int x = 0; x < 64; ++x) {
+          actual.set(x, 0, pattern(x, length));
+          expected.set(x, 0, pattern(x, length));
+        }
+        actual.blendSpan(0, offset, offset + length, src);
+        for (int x = offset; x < offset + length; ++x) {
+          referencePixel(expected, x, 0, src);
+        }
+        EXPECT_EQ(countMismatches(actual, expected), 0)
+            << "alpha=" << alpha << " offset=" << offset
+            << " length=" << length;
+      }
+    }
+  }
+
+  // One translucent destination pixel at each position of the second of
+  // three blocks: that block falls back to the per-pixel loop (and the
+  // general blend at the translucent pixel), its neighbours stay vector.
+  for (const int alpha : {1, 128, 254}) {
+    const Color src = Color::rgba(30, 220, 140, static_cast<std::uint8_t>(alpha));
+    for (int position = 0; position < 16; ++position) {
+      for (const int da : {0, 1, 128, 254}) {
+        Bitmap actual(48, 1);
+        Bitmap expected(48, 1);
+        for (int x = 0; x < 48; ++x) {
+          Color c = pattern(x, position);
+          if (x == 16 + position) c.a = static_cast<std::uint8_t>(da);
+          actual.set(x, 0, c);
+          expected.set(x, 0, c);
+        }
+        actual.blendSpan(0, 0, 48, src);
+        for (int x = 0; x < 48; ++x) referencePixel(expected, x, 0, src);
+        EXPECT_EQ(countMismatches(actual, expected), 0)
+            << "alpha=" << alpha << " position=" << position
+            << " da=" << da;
+      }
+    }
+  }
+}
+
 // ---- Even-sided rounded shapes ---------------------------------------------
 
 // A side of exactly 2·radius (every even-sided pill, since radius is capped
