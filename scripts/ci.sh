@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build, test (which includes the detlint
 # determinism-lint gates), a portable lane that reruns the bit-exactness
-# tests without -march=native, the same again under ASan+UBSan, a TSan lane
+# and fingerprint tests without -march=native, the same again under
+# ASan+UBSan (with float-cast-overflow), a TSan lane
 # over the threaded fleet/scheduler tests, a bench smoke lane (every
 # bench binary once with --quick), a Release perf-smoke lane (the
 # detector hot-path bench's speedup/zero-alloc contracts need optimized
@@ -40,13 +41,15 @@ echo "== configure + build, portable (build-portable/) =="
 # The tree above builds with -march=native. The vector kernels (the head's
 # tile kernel, blendSpan's 16-pixel block) and the feature pass claim bits
 # that do not depend on the host's lane width, so the bit-exactness suites
-# run again on a build with DARPA_NATIVE_SIMD off (baseline ISA).
+# run again on a build with DARPA_NATIVE_SIMD off (baseline ISA). The
+# screen fingerprint is a bit-exact contract too (cached verdicts and the
+# fleet digests key on it), so its suites ride along.
 cmake -B build-portable -S . -DDARPA_NATIVE_SIMD=OFF
 cmake --build build-portable -j "$JOBS" --target darpa_tests
 
 echo "== ctest, portable bit-exactness tests (build-portable/) =="
 ctest --test-dir build-portable --output-on-failure -j "$JOBS" \
-  -R 'BlendOracle|RasterOracle|FusedFeatureParityTest|FeatureLumaTest|MlpBatchTest|OneStageTest'
+  -R 'BlendOracle|RasterOracle|FusedFeatureParityTest|FeatureLumaTest|MlpBatchTest|OneStageTest|FingerprintTest|VirtualFingerprintPropertyTest'
 
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   echo "== configure + build, ASan+UBSan (build-asan/) =="
@@ -122,7 +125,7 @@ PYEOF
   # publishes the inline scaling curve (W = 1 ... N session workers) and
   # gates the shared-tier L2 hit rate and the hybrid lint->CV stage-mix
   # shift. The speedup contracts are only meaningful under optimization,
-  # so this lane builds Release (-O2) and runs both benches at --quick
+  # so this lane builds Release (-O3) and runs both benches at --quick
   # scale. Fatal on contract failure. The two binaries share the trained-model cache in
   # build-perf/bench, so the fleet bench reuses the hot-path bench's model.
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release

@@ -25,6 +25,18 @@ namespace darpa::android {
 /// Glyph shapes an IconView can render.
 enum class IconGlyph { kCross, kCircle, kRing, kArrow, kChevron, kStar };
 
+class WebView;
+
+/// What the hierarchy dump reads from a view beyond the attributes every
+/// View has: its text, its content (text/glyph) color, and the page a
+/// WebView hosts. `text` borrows the view's own storage.
+struct ViewContent {
+  std::string_view text;
+  Color contentColor = colors::kTransparent;
+  bool hasContentColor = false;  ///< True for TextView/IconView.
+  const WebView* page = nullptr;  ///< The view itself, for a loaded WebView.
+};
+
 class View {
  public:
   View() = default;
@@ -42,6 +54,8 @@ class View {
   /// obfuscated or dynamically generated it.
   [[nodiscard]] const std::string& resourceId() const { return resourceId_; }
   void setResourceId(std::string rid) { resourceId_ = std::move(rid); }
+  /// Subclass content the hierarchy dump records (none for a plain View).
+  [[nodiscard]] virtual ViewContent dumpContent() const { return {}; }
 
   // --- geometry -----------------------------------------------------------
   /// Frame relative to the parent view (or the window for the root).
@@ -55,7 +69,8 @@ class View {
   void setCornerRadius(int r) { cornerRadius_ = r; }
   /// View alpha in [0, 1]; multiplies into children (Android semantics).
   [[nodiscard]] double alpha() const { return alpha_; }
-  void setAlpha(double a) { alpha_ = a < 0 ? 0 : (a > 1 ? 1 : a); }
+  /// Clamps into [0, 1]; NaN fails closed to 0 (fully transparent).
+  void setAlpha(double a) { alpha_ = a > 0 ? (a > 1 ? 1 : a) : 0; }
   [[nodiscard]] bool visible() const { return visible_; }
   void setVisible(bool v) { visible_ = v; }
 
@@ -129,6 +144,9 @@ class TextView : public View {
   [[nodiscard]] std::string_view className() const override {
     return "TextView";
   }
+  [[nodiscard]] ViewContent dumpContent() const override {
+    return {text_, textColor_, true};
+  }
   [[nodiscard]] const std::string& text() const { return text_; }
   void setText(std::string t) { text_ = std::move(t); }
   [[nodiscard]] Color textColor() const { return textColor_; }
@@ -181,6 +199,9 @@ class IconView : public View {
  public:
   [[nodiscard]] std::string_view className() const override {
     return "IconView";
+  }
+  [[nodiscard]] ViewContent dumpContent() const override {
+    return {{}, glyphColor_, true};
   }
   [[nodiscard]] IconGlyph glyph() const { return glyph_; }
   void setGlyph(IconGlyph g) { glyph_ = g; }

@@ -75,6 +75,9 @@ class WebView : public View {
   [[nodiscard]] std::string_view className() const override {
     return "android.webkit.WebView";
   }
+  [[nodiscard]] ViewContent dumpContent() const override {
+    return {{}, colors::kTransparent, false, hasPage_ ? this : nullptr};
+  }
 
   /// Installs the page's virtual tree (replacing any previous page). The
   /// tree is page-controlled, so it is checked here, fail closed: a node

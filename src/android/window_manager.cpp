@@ -1,6 +1,8 @@
 #include "android/window_manager.h"
 
 #include <algorithm>
+#include <array>
+#include <string_view>
 
 #include "android/webview.h"
 
@@ -8,33 +10,171 @@ namespace darpa::android {
 
 namespace {
 
-/// Inlines a WebView's virtual accessibility tree into the dump, directly
-/// below the host's own node. Depth continues past the host, bounds are
-/// carried into screen space through the host's position, the host's
-/// effective alpha multiplies into every node's opacity chain, and
-/// resourceId stays empty throughout — virtual nodes only ever have a
-/// page-global virtualId. The walk itself is iterative (forEachVirtual),
-/// so hostile page depth cannot overflow the dumping service's stack.
-void appendVirtualNodes(const WebView& web, const Rect& hostAbs,
-                        int hostDepth, double hostEffAlpha, UiDump& out) {
-  web.forEachVirtual([&](const VirtualNode& vn, int depth, double effOpacity) {
-    UiNode node;
-    node.className = std::string(virtualRoleClassName(vn.role));
-    node.boundsOnScreen = vn.bounds.translated(hostAbs.x, hostAbs.y);
-    node.clickable = vn.clickable;
-    node.text = vn.text;
-    node.depth = hostDepth + 1 + depth;
-    node.background = vn.background;
-    if (!vn.text.empty() || vn.crossGlyph) {
-      node.contentColor = vn.contentColor;
-      node.hasContentColor = true;
-    }
-    node.effAlpha = hostEffAlpha * effOpacity;
-    node.isVirtual = true;
-    node.virtualId = vn.virtualId;
-    out.push_back(std::move(node));
-  });
+/// One node of the top window's pre-order walk, as both the dump and the
+/// fingerprint read it: views into the live tree (or into a stored UiNode)
+/// plus scalars. Valid only for the duration of the visitor call.
+struct NodeRef {
+  std::string_view className;
+  std::string_view resourceId;
+  std::string_view text;
+  Rect bounds;
+  int depth;
+  bool clickable;
+  Color background;
+  Color contentColor;
+  bool hasContentColor;
+  double effAlpha;
+  bool isVirtual;
+  std::string_view virtualId;
+};
+
+/// Visits `view`'s subtree in pre-order: invisible subtrees are skipped,
+/// bounds are carried into screen space, alpha multiplies down the tree,
+/// and a WebView's virtual tree is inlined directly below its host node —
+/// depth continuing past the host, bounds translated through the host's
+/// position, the host's effective alpha multiplied into every node's
+/// opacity chain, and no resource id (virtual nodes only ever have a
+/// page-global virtualId). The virtual walk is iterative (forEachVirtual),
+/// so hostile page depth cannot overflow the service's stack.
+template <typename Visitor>
+void walkView(const View& view, Point origin, int depth, double parentAlpha,
+              Visitor& visit) {
+  if (!view.visible()) return;
+  const Rect abs{origin.x + view.frame().x, origin.y + view.frame().y,
+                 view.frame().width, view.frame().height};
+  const double effAlpha = parentAlpha * view.alpha();
+  const ViewContent content = view.dumpContent();
+  visit(NodeRef{view.className(), view.resourceId(), content.text, abs, depth,
+                view.clickable(), view.background(), content.contentColor,
+                content.hasContentColor, effAlpha, false, {}});
+  if (content.page != nullptr) {
+    content.page->forEachVirtual(
+        [&](const VirtualNode& vn, int virtualDepth, double effOpacity) {
+          const bool hasContent = !vn.text.empty() || vn.crossGlyph;
+          visit(NodeRef{virtualRoleClassName(vn.role), {}, vn.text,
+                        vn.bounds.translated(abs.x, abs.y),
+                        depth + 1 + virtualDepth, vn.clickable,
+                        vn.background,
+                        hasContent ? vn.contentColor : colors::kTransparent,
+                        hasContent, effAlpha * effOpacity, true,
+                        vn.virtualId});
+        });
+  }
+  for (const auto& child : view.children()) {
+    walkView(*child, {abs.x, abs.y}, depth + 1, effAlpha, visit);
+  }
 }
+
+/// Hands every node of `wm`'s top app window to `visit`, in dump order.
+template <typename Visitor>
+void walkTopWindow(const WindowManager& wm, Visitor& visit) {
+  const Window* top = wm.topAppWindow();
+  if (top == nullptr) return;
+  const Rect frame = wm.appFrame(top->fullscreen());
+  walkView(top->content(), {frame.x, frame.y}, 0, 1.0, visit);
+}
+
+/// FNV-1a 64-bit, with a finalizing mix borrowed from splitmix64 so nearby
+/// integer inputs (bounds off by one pixel) diverge across the whole word.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// kFnvPrimePowers[k] = kFnvPrime^k mod 2^64.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
+
+void hashBytes(std::uint64_t& h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= kFnvPrime;
+  }
+}
+
+void hashString(std::uint64_t& h, std::string_view s) {
+  hashBytes(h, s);
+  hashBytes(h, "\x1f");  // field separator: ("ab","c") != ("a","bc")
+}
+
+/// Hashes v's eight little-endian bytes. FNV-1a on a zero byte is a bare
+/// multiply (h ^= 0 changes nothing), so the run of zero bytes above the
+/// highest non-zero one folds into a single multiply by kFnvPrime^k — the
+/// same value mod 2^64 as the byte loop, for the small non-negative ints
+/// (bounds, depth, quantized alpha) that make up most of the stream.
+void hashInt(std::uint64_t& h, std::int64_t v) {
+  auto bits = static_cast<std::uint64_t>(v);
+  std::size_t hashed = 0;
+  for (; bits != 0; bits >>= 8, ++hashed) {
+    h ^= bits & 0xFF;
+    h *= kFnvPrime;
+  }
+  h *= kFnvPrimePowers[8 - hashed];
+}
+
+std::uint64_t finalize(std::uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
+/// The fingerprint stream of one node.
+void hashNode(std::uint64_t& h, const NodeRef& node) {
+  hashString(h, node.className);
+  hashString(h, node.resourceId);
+  hashString(h, node.text);
+  hashInt(h, node.bounds.x);
+  hashInt(h, node.bounds.y);
+  hashInt(h, node.bounds.width);
+  hashInt(h, node.bounds.height);
+  hashInt(h, node.depth);
+  hashInt(h, node.clickable ? 1 : 0);
+  hashInt(h, node.background.toArgb());
+  hashInt(h, node.hasContentColor
+                 ? static_cast<std::int64_t>(node.contentColor.toArgb())
+                 : std::int64_t{-1});
+  // Alpha is a double; quantize to 1/1024 so float noise cannot split
+  // visually identical screens into distinct fingerprints.
+  hashInt(h, static_cast<std::int64_t>(node.effAlpha * 1024.0));
+  // Virtual (WebView) nodes have no resource id to mix, so their
+  // page-global id enters the stream instead, plus a marker that keeps a
+  // virtual node from colliding with a native one that happens to share
+  // class/bounds/text. Native nodes hash exactly as before: the
+  // fingerprint of an all-native dump is bit-identical across versions.
+  if (node.isVirtual) {
+    hashString(h, node.virtualId);
+    hashInt(h, 1);
+  }
+}
+
+/// Folds nodes into the screen fingerprint, one hashNode per node.
+class FingerprintVisitor {
+ public:
+  void operator()(const NodeRef& node) {
+    // Never hash DARPA's own decoration views: the fingerprint must be
+    // identical before and after the service decorates a screen, or every
+    // decorated screen would invalidate its own cache entry.
+    if (node.className == "DarpaDecorationView") return;
+    ++hashedNodes_;
+    hashNode(h_, node);
+  }
+
+  [[nodiscard]] std::uint64_t finish() {
+    hashInt(h_, hashedNodes_);
+    return finalize(h_);
+  }
+
+ private:
+  std::uint64_t h_ = kFnvOffset;
+  std::int64_t hashedNodes_ = 0;
+};
 
 }  // namespace
 
@@ -177,123 +317,34 @@ gfx::Bitmap WindowManager::composite() const {
   return screen;
 }
 
-void WindowManager::dumpViewRecursive(const View& view, Point origin,
-                                      int depth, double parentAlpha,
-                                      UiDump& out) const {
-  if (!view.visible()) return;
-  const Rect abs{origin.x + view.frame().x, origin.y + view.frame().y,
-                 view.frame().width, view.frame().height};
-  const double effAlpha = parentAlpha * view.alpha();
-  UiNode node;
-  node.className = std::string(view.className());
-  node.resourceId = view.resourceId();
-  node.boundsOnScreen = abs;
-  node.clickable = view.clickable();
-  node.depth = depth;
-  node.background = view.background();
-  node.effAlpha = effAlpha;
-  if (const auto* text = dynamic_cast<const TextView*>(&view)) {
-    node.text = text->text();
-    node.contentColor = text->textColor();
-    node.hasContentColor = true;
-  } else if (const auto* icon = dynamic_cast<const IconView*>(&view)) {
-    node.contentColor = icon->glyphColor();
-    node.hasContentColor = true;
-  }
-  out.push_back(std::move(node));
-  if (const auto* web = dynamic_cast<const WebView*>(&view);
-      web != nullptr && web->hasPage()) {
-    appendVirtualNodes(*web, abs, depth, effAlpha, out);
-  }
-  for (const auto& child : view.children()) {
-    dumpViewRecursive(*child, {abs.x, abs.y}, depth + 1, effAlpha, out);
-  }
+UiDump WindowManager::dumpTopWindow() const {
+  UiDump dump;
+  auto copy = [&dump](const NodeRef& node) {
+    dump.push_back(UiNode{
+        std::string(node.className), std::string(node.resourceId),
+        node.bounds, node.clickable, std::string(node.text), node.depth,
+        node.background, node.contentColor, node.hasContentColor,
+        node.effAlpha, node.isVirtual, std::string(node.virtualId)});
+  };
+  walkTopWindow(*this, copy);
+  return dump;
 }
-
-namespace {
-
-/// FNV-1a 64-bit, with a finalizing mix borrowed from splitmix64 so nearby
-/// integer inputs (bounds off by one pixel) diverge across the whole word.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void hashBytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-void hashString(std::uint64_t& h, const std::string& s) {
-  hashBytes(h, s.data(), s.size());
-  hashBytes(h, "\x1f", 1);  // field separator: ("ab","c") != ("a","bc")
-}
-
-void hashInt(std::uint64_t& h, std::int64_t v) { hashBytes(h, &v, sizeof(v)); }
-
-std::uint64_t finalize(std::uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
 
 std::uint64_t WindowManager::fingerprint(const UiDump& dump) {
-  std::uint64_t h = kFnvOffset;
-  std::int64_t hashedNodes = 0;
+  FingerprintVisitor hash;
   for (const UiNode& node : dump) {
-    // Never hash DARPA's own decoration views: the fingerprint must be
-    // identical before and after the service decorates a screen, or every
-    // decorated screen would invalidate its own cache entry.
-    if (node.className == "DarpaDecorationView") continue;
-    ++hashedNodes;
-    hashString(h, node.className);
-    hashString(h, node.resourceId);
-    hashString(h, node.text);
-    hashInt(h, node.boundsOnScreen.x);
-    hashInt(h, node.boundsOnScreen.y);
-    hashInt(h, node.boundsOnScreen.width);
-    hashInt(h, node.boundsOnScreen.height);
-    hashInt(h, node.depth);
-    hashInt(h, node.clickable ? 1 : 0);
-    hashInt(h, node.background.toArgb());
-    hashInt(h, node.hasContentColor
-                   ? static_cast<std::int64_t>(node.contentColor.toArgb())
-                   : std::int64_t{-1});
-    // Alpha is a double; quantize to 1/1024 so float noise cannot split
-    // visually identical screens into distinct fingerprints.
-    hashInt(h, static_cast<std::int64_t>(node.effAlpha * 1024.0));
-    // Virtual (WebView) nodes have no resource id to mix, so their
-    // page-global id enters the stream instead, plus a marker that keeps a
-    // virtual node from colliding with a native one that happens to share
-    // class/bounds/text. Native nodes hash exactly as before: the
-    // fingerprint of an all-native dump is bit-identical across versions.
-    if (node.isVirtual) {
-      hashString(h, node.virtualId);
-      hashInt(h, 1);
-    }
+    hash(NodeRef{node.className, node.resourceId, node.text,
+                 node.boundsOnScreen, node.depth, node.clickable,
+                 node.background, node.contentColor, node.hasContentColor,
+                 node.effAlpha, node.isVirtual, node.virtualId});
   }
-  hashInt(h, hashedNodes);
-  return finalize(h);
+  return hash.finish();
 }
 
 std::uint64_t WindowManager::topWindowFingerprint() const {
-  const UiDump dump = dumpTopWindow();
-  return fingerprint(dump);
-}
-
-UiDump WindowManager::dumpTopWindow() const {
-  UiDump dump;
-  const Window* top = topAppWindow();
-  if (top == nullptr) return dump;
-  const Rect frame = appFrame(top->fullscreen());
-  dumpViewRecursive(top->content(), {frame.x, frame.y}, 0, 1.0, dump);
-  return dump;
+  FingerprintVisitor hash;
+  walkTopWindow(*this, hash);
+  return hash.finish();
 }
 
 View* WindowManager::clickAt(Point screen) {

@@ -195,7 +195,8 @@ class WindowManager {
   /// nodes hash byte-for-byte as they always did: the virtual fields only
   /// enter the stream for nodes with `isVirtual` set.
   [[nodiscard]] static std::uint64_t fingerprint(const UiDump& dump);
-  /// dumpTopWindow() + fingerprint() in one call.
+  /// Equals fingerprint(dumpTopWindow()), hashed while walking the live
+  /// view tree: no dump is built and no node string is copied.
   [[nodiscard]] std::uint64_t topWindowFingerprint() const;
 
   // --- input ------------------------------------------------------------------
@@ -213,8 +214,6 @@ class WindowManager {
 
   void emit(EventType type, const std::string& package);
   [[nodiscard]] Millis now() const { return clock_ ? clock_->now() : Millis{}; }
-  void dumpViewRecursive(const View& view, Point origin, int depth,
-                         double parentAlpha, UiDump& out) const;
 
   Config config_;
   UiEventSink* sink_ = nullptr;

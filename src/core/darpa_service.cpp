@@ -97,12 +97,13 @@ void DarpaService::analyzeNow() {
   // (and re-detects) DARPA's overlay.
   clearDecorations();
 
-  // One ScreenFrame per pass: the UI dump is captured once, shared by the
-  // cache probe and lint, and later joined by the pixels. Decoration
-  // overlays are never part of the dump (they live outside the app
-  // window), so a decorated screen fingerprints like its clean self.
+  // One ScreenFrame per pass, later joined by the pixels. Its fingerprint
+  // is hashed straight off the live view tree, and only when a verdict
+  // cache will read it; no dump is built unless lint runs. Decoration
+  // overlays live outside the app window, so a decorated screen
+  // fingerprints like its clean self.
   const auto frame = std::make_shared<ScreenFrame>(
-      wm.dumpTopWindow(),
+      cachesEnabled() ? wm.topWindowFingerprint() : 0,
       top != nullptr ? top->packageName() : std::string{});
 
   Verdict verdict;
@@ -116,7 +117,7 @@ void DarpaService::analyzeNow() {
     // A confident lint verdict resolves the screen without pixels.
     bool resolvedByLint = false;
     if (config_.lintPrefilter != nullptr) {
-      resolvedByLint = lint(*frame, verdict.detections);
+      resolvedByLint = lint(verdict.detections);
     } else {
       ledger_.recordSkip(Stage::kLint);
     }
@@ -181,9 +182,13 @@ void DarpaService::analyzeNow() {
   if (analysisListener_) analysisListener_(verdict.isAui, verdict.detections);
 }
 
+bool DarpaService::cachesEnabled() const {
+  return cache_.enabled() || config_.verdictTier != nullptr;
+}
+
 bool DarpaService::probeCaches(const ScreenFrame& frame, Verdict& verdict) {
+  if (!cachesEnabled()) return false;
   SharedVerdictTier* tier = config_.verdictTier;
-  if (!cache_.enabled() && tier == nullptr) return false;
   ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
   if (cache_.enabled()) {
     if (const Verdict* cached = cache_.find(frame.fingerprint())) {
@@ -211,11 +216,12 @@ bool DarpaService::probeCaches(const ScreenFrame& frame, Verdict& verdict) {
   return false;
 }
 
-bool DarpaService::lint(const ScreenFrame& frame,
-                        std::vector<cv::Detection>& detections) {
+bool DarpaService::lint(std::vector<cv::Detection>& detections) {
+  // The screen cannot change within a pass, so this dump holds the nodes
+  // the pass's fingerprint hashed.
+  const android::WindowManager& wm = *windowManager();
   const analysis::LintVerdict verdict =
-      config_.lintPrefilter
-          ->run(frame.dump(), windowManager()->config().screenSize)
+      config_.lintPrefilter->run(wm.dumpTopWindow(), wm.config().screenSize)
           .verdict;
   ++stats_.lintRuns;
   ledger_.recordRun(Stage::kLint, ledger_.costs().lintCpuMs);

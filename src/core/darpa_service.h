@@ -217,12 +217,14 @@ class DarpaService : public android::AccessibilityService {
  private:
   /// Probes L1, then L2 on an L1 miss, pricing each lookup and counting a
   /// hit against the tier that served it; an L2 hit is promoted into L1.
-  /// True, with `verdict` filled, on a hit. Neither cache on: no probe, no
-  /// fingerprint.
+  /// True, with `verdict` filled, on a hit. Neither cache on: no probe.
   bool probeCaches(const ScreenFrame& frame, Verdict& verdict);
-  /// Lints the frame's dump. True when the lint verdict is confident; a
-  /// confident AUI's option boxes are appended to `detections`.
-  bool lint(const ScreenFrame& frame, std::vector<cv::Detection>& detections);
+  /// True when L1 or L2 is on — the only readers of the frame fingerprint.
+  [[nodiscard]] bool cachesEnabled() const;
+  /// Dumps the top window and lints it. True when the lint verdict is
+  /// confident; a confident AUI's option boxes are appended to
+  /// `detections`.
+  bool lint(std::vector<cv::Detection>& detections);
   /// Takes the screenshot into `frame` and the vault. False, recording a
   /// skip, when the capture came back empty.
   bool capture(const std::shared_ptr<ScreenFrame>& frame);

@@ -4,22 +4,20 @@
 
 namespace darpa::core {
 
-ScreenFrame::ScreenFrame(android::UiDump dump, std::string packageName)
-    : dump_(std::move(dump)), package_(std::move(packageName)) {}
+ScreenFrame::ScreenFrame(std::uint64_t screenFingerprint,
+                         std::string packageName)
+    : package_(std::move(packageName)),
+      fingerprint_(mixPackage(screenFingerprint, package_)) {}
+
+ScreenFrame::ScreenFrame(const android::UiDump& dump, std::string packageName)
+    : ScreenFrame(android::WindowManager::fingerprint(dump),
+                  std::move(packageName)) {}
 
 // §IV-E: scrub the privacy-sensitive capture before its slab is released
 // (and possibly recycled through the FramePool). Runs when the last
 // FramePtr lets go, so no holder can observe pixels after the scrub.
 ScreenFrame::~ScreenFrame() {
   if (!pixels_.empty()) pixels_.fill(colors::kBlack);
-}
-
-std::uint64_t ScreenFrame::fingerprint() const {
-  if (!fingerprint_) {
-    fingerprint_ =
-        mixPackage(android::WindowManager::fingerprint(dump_), package_);
-  }
-  return *fingerprint_;
 }
 
 void ScreenFrame::attachPixels(gfx::Bitmap pixels) {

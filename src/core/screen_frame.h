@@ -1,18 +1,18 @@
 // ScreenFrame — the immutable, refcounted unit of perception evidence.
 //
-// One stabilized screen produces exactly one ScreenFrame: the UI dump, the
-// foreground package, the lazily memoized screen fingerprint, and (once the
-// screenshot stage ran) the composited pixels. Every layer that previously
+// One stabilized screen produces exactly one ScreenFrame: the foreground
+// package, the package-mixed screen fingerprint, and (once the screenshot
+// stage ran) the composited pixels. The frame holds no UI dump: the
+// fingerprint is hashed straight off the live view tree, and lint, the one
+// stage that reads the nodes, dumps them itself. Every layer that previously
 // deep-copied that evidence — the analysis context, the ScreenshotVault,
 // the detection executor — now holds a shared_ptr to the same frame, with
 // zero pixel copies.
 //
 // Immutability protocol: the owning session thread builds the frame
 // (constructor + at most one attachPixels()); after that every holder sees
-// it through FramePtr (shared_ptr<const ScreenFrame>) and only reads. A
-// frame stays confined to its session, like the rest of the pass state,
-// which is what makes the lazily memoized fingerprint safe. The pixels
-// keep their slab provenance, so pooled buffers flow back to the
+// it through FramePtr (shared_ptr<const ScreenFrame>) and only reads. The
+// pixels keep their slab provenance, so pooled buffers flow back to the
 // gfx::FramePool when the last holder lets go.
 //
 // §IV-E custody: the destructor scrubs the pixel buffer (overwrites with
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "android/window_manager.h"
@@ -33,19 +32,22 @@ namespace darpa::core {
 
 class ScreenFrame {
  public:
-  /// Captures the structural evidence. `packageName` is the foreground
-  /// package the fingerprint is salted with (empty when no app window).
-  ScreenFrame(android::UiDump dump, std::string packageName);
+  /// Captures the structural evidence: `screenFingerprint` is the
+  /// WindowManager fingerprint of the screen (a pass with both verdict
+  /// caches off passes 0: nothing reads it), `packageName` the foreground
+  /// package it is salted with (empty when no app window).
+  ScreenFrame(std::uint64_t screenFingerprint, std::string packageName);
+  /// The frame of a stored dump: hashes it once and keeps only the hash.
+  ScreenFrame(const android::UiDump& dump, std::string packageName);
   ~ScreenFrame();
 
   ScreenFrame(const ScreenFrame&) = delete;
   ScreenFrame& operator=(const ScreenFrame&) = delete;
 
-  [[nodiscard]] const android::UiDump& dump() const { return dump_; }
   [[nodiscard]] const std::string& packageName() const { return package_; }
 
-  /// The package-mixed screen fingerprint, memoized on first call.
-  [[nodiscard]] std::uint64_t fingerprint() const;
+  /// The package-mixed screen fingerprint.
+  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Attaches the composited screenshot. At most once.
   void attachPixels(gfx::Bitmap pixels);
@@ -63,9 +65,8 @@ class ScreenFrame {
                                                const std::string& package);
 
  private:
-  android::UiDump dump_;
   std::string package_;
-  mutable std::optional<std::uint64_t> fingerprint_;
+  std::uint64_t fingerprint_;
   gfx::Bitmap pixels_;
 };
 

@@ -73,7 +73,7 @@ struct StageCosts {
   double screenshotCpuMs = 2.2;    ///< One capture (compose + copy).
   double macsPerCpuMs = 1.8e6;     ///< Detection = detector MACs / this.
   double verdictCpuMs = 0.02;      ///< Verdict merge (pointer work).
-  double cacheLookupCpuMs = 0.08;  ///< UI dump walk + fingerprint + LRU.
+  double cacheLookupCpuMs = 0.08;  ///< View-tree fingerprint walk + LRU.
   double decorationCpuMs = 45.0;   ///< addView: full relayout + recompose.
   double bypassClickCpuMs = 1.5;   ///< One dispatched bypass gesture.
 };

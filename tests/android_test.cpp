@@ -2,6 +2,7 @@
 // accessibility event routing, and the anchor-view offset trick.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -121,6 +122,48 @@ TEST(ViewTest, AlphaMultipliesIntoChildren) {
   child->setBackground(colors::kBlack);
   parent.draw(canvas, {0, 0});
   EXPECT_GT(bmp.at(10, 10).r, 150);  // child dimmed by parent alpha
+}
+
+// setAlpha(NaN) fails closed: the view dumps, fingerprints and composites
+// exactly like an alpha-0 view, at the root and further down the tree.
+TEST(ViewTest, NanAlphaActsLikeAlphaZero) {
+  const auto screen = [](double rootAlpha, double panelAlpha) {
+    auto root = std::make_unique<View>();
+    root->setBackground(colors::kWhite);
+    root->setAlpha(rootAlpha);
+    auto panel = std::make_unique<TextView>();
+    panel->setFrame({10, 10, 200, 100});
+    panel->setBackground(colors::kBlack);
+    panel->setText("skip");
+    panel->setAlpha(panelAlpha);
+    panel->addChild(std::make_unique<IconView>())->setFrame({4, 4, 16, 16});
+    root->addChild(std::move(panel));
+    return root;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  View probe;
+  probe.setAlpha(nan);
+  EXPECT_EQ(probe.alpha(), 0.0);
+  for (const bool atRoot : {true, false}) {
+    WindowManager withNan;
+    WindowManager withZero;
+    withNan.showAppWindow("com.app", screen(atRoot ? nan : 1.0, nan), false);
+    withZero.showAppWindow("com.app", screen(atRoot ? 0.0 : 1.0, 0.0), false);
+    const UiDump a = withNan.dumpTopWindow();
+    const UiDump b = withZero.dumpTopWindow();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].className, b[i].className);
+      EXPECT_EQ(a[i].boundsOnScreen, b[i].boundsOnScreen);
+      EXPECT_EQ(a[i].text, b[i].text);
+      EXPECT_EQ(a[i].depth, b[i].depth);
+      EXPECT_EQ(a[i].contentColor, b[i].contentColor);
+      EXPECT_EQ(a[i].effAlpha, b[i].effAlpha);
+    }
+    EXPECT_EQ(withNan.topWindowFingerprint(), withZero.topWindowFingerprint());
+    EXPECT_EQ(WindowManager::fingerprint(a), WindowManager::fingerprint(b));
+    EXPECT_EQ(withNan.composite(), withZero.composite());
+  }
 }
 
 TEST(ViewTest, ClassNames) {

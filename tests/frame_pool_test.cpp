@@ -116,7 +116,7 @@ TEST(FramePoolTest, FingerprintsStableAcrossPooledReuse) {
   Bitmap firstPixels;
   constexpr int kRounds = 16;
   for (int round = 0; round < kRounds; ++round) {
-    auto frame = std::make_shared<core::ScreenFrame>(wm.dumpTopWindow(),
+    auto frame = std::make_shared<core::ScreenFrame>(wm.topWindowFingerprint(),
                                                      "com.test.app");
     frame->attachPixels(wm.composite());
     if (round == 0) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -12,6 +15,7 @@
 
 #include "analysis/lint.h"
 #include "android/system.h"
+#include "apps/screen_generator.h"
 #include "core/darpa_service.h"
 #include "core/decoration.h"
 #include "core/verdict_cache.h"
@@ -254,6 +258,208 @@ TEST(FingerprintTest, IgnoresOverlaysAndDecorationNodes) {
   decoration.boundsOnScreen = {20, 20, 40, 40};
   dump.push_back(decoration);
   EXPECT_EQ(android::WindowManager::fingerprint(dump), clean);
+}
+
+/// Checks the live-tree fingerprint against the hash of the dump of the
+/// same screen, and returns the dump's virtual-node count.
+int expectWalkMatchesDump(const android::WindowManager& wm) {
+  const android::UiDump dump = wm.dumpTopWindow();
+  EXPECT_EQ(wm.topWindowFingerprint(),
+            android::WindowManager::fingerprint(dump));
+  int virtualNodes = 0;
+  for (const android::UiNode& node : dump) virtualNodes += node.isVirtual;
+  return virtualNodes;
+}
+
+TEST(FingerprintTest, TreeWalkEqualsDumpHash) {
+  android::WindowManager wm;
+  expectWalkMatchesDump(wm);  // no app window: both hash the empty stream
+
+  // Generated benign, hard-negative and AUI screens, some of them WebView
+  // interstitials whose virtual nodes are inlined under their host.
+  apps::ScreenGenerator::Params params;
+  params.webViewAuiProb = 0.5;
+  int virtualNodes = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    apps::ScreenGenerator gen(params, seed);
+    for (int kind = 0; kind < 6; ++kind) {
+      apps::GeneratedScreen screen =
+          kind == 0   ? gen.makeBenign()
+          : kind == 1 ? gen.makeHardNegative()
+                      : gen.makeAui(gen.randomSpec());
+      wm.showAppWindow("com.gen", std::move(screen.root), kind % 2 == 0);
+      virtualNodes += expectWalkMatchesDump(wm);
+      wm.popAppWindow();
+    }
+  }
+  EXPECT_GT(virtualNodes, 0);
+
+  // Hidden subtrees, a decoration view spliced into the app tree, and
+  // alphas on and just below the 1/1024 quantization steps.
+  auto root = std::make_unique<android::View>();
+  root->setBackground(colors::kWhite);
+  android::View* hidden = root->addChild(std::make_unique<android::View>());
+  hidden->setFrame({5, 5, 100, 100});
+  hidden->setVisible(false);
+  hidden->addChild(std::make_unique<android::Button>())->setFrame({1, 1, 9, 9});
+  android::View* decorated =
+      root->addChild(std::make_unique<android::View>());
+  decorated->setFrame({-4, 300, 200, 80});
+  decorated->addChild(std::make_unique<DecorationView>(colors::kGreen, 3))
+      ->setFrame({2, 2, 40, 40});
+  android::View* faded = root->addChild(std::make_unique<android::View>());
+  faded->setAlpha(0.5);
+  for (const int step : {0, 1, 2, 511, 512, 1023, 1024}) {
+    for (const double alpha :
+         {step / 1024.0, std::nextafter(step / 1024.0, 0.0)}) {
+      android::View* child =
+          faded->addChild(std::make_unique<android::IconView>());
+      child->setFrame({step % 300, step / 4, 12, 12});
+      child->setAlpha(alpha);
+      child->addChild(std::make_unique<android::View>())->setAlpha(alpha);
+    }
+  }
+  wm.showAppWindow("com.crafted", std::move(root), false);
+  expectWalkMatchesDump(wm);
+}
+
+/// The documented fingerprint stream, one byte at a time: FNV-1a 64 over
+/// each node's class, resource id and text (each followed by 0x1f), then
+/// bounds x/y/width/height, depth, clickable, background ARGB, content ARGB
+/// (-1 without content colour) and trunc(effAlpha * 1024), each as eight
+/// little-endian bytes of an int64; virtual nodes append their virtualId
+/// (plus 0x1f) and the int 1. DarpaDecorationView nodes are skipped, the
+/// hashed node count closes the stream, and splitmix64's finalizer mixes
+/// the result.
+std::uint64_t byteLoopFingerprint(const android::UiDump& dump) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto byte = [&h](unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  };
+  const auto str = [&](const std::string& s) {
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+    byte(0x1f);
+  };
+  const auto i64 = [&](std::int64_t v) {
+    const auto bits = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      byte(static_cast<unsigned char>(bits >> (8 * i)));
+    }
+  };
+  std::int64_t nodes = 0;
+  for (const android::UiNode& n : dump) {
+    if (n.className == "DarpaDecorationView") continue;
+    ++nodes;
+    str(n.className);
+    str(n.resourceId);
+    str(n.text);
+    i64(n.boundsOnScreen.x);
+    i64(n.boundsOnScreen.y);
+    i64(n.boundsOnScreen.width);
+    i64(n.boundsOnScreen.height);
+    i64(n.depth);
+    i64(n.clickable ? 1 : 0);
+    i64(n.background.toArgb());
+    i64(n.hasContentColor ? std::int64_t{n.contentColor.toArgb()} : -1);
+    i64(static_cast<std::int64_t>(n.effAlpha * 1024.0));
+    if (n.isVirtual) {
+      str(n.virtualId);
+      i64(1);
+    }
+  }
+  i64(nodes);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
+TEST(FingerprintTest, MatchesByteLoopReference) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  android::UiDump dump;
+  EXPECT_EQ(android::WindowManager::fingerprint(dump),
+            byteLoopFingerprint(dump));
+
+  android::UiNode root;
+  root.className = "View";
+  root.boundsOnScreen = {0, 24, 360, 648};
+  root.background = colors::kWhite;
+  dump.push_back(root);
+
+  android::UiNode far;  // negative and near-INT_MAX bounds
+  far.className = "TextView";
+  far.resourceId = "txt_far";
+  far.text = "far away";
+  far.boundsOnScreen = {-7, kMin, kMax, kMax - 1};
+  far.depth = 1;
+  far.clickable = true;
+  far.background = Color::fromArgb(0xFF00FF00);  // zero middle bytes
+  far.contentColor = Color::fromArgb(0x00FF0000);
+  far.hasContentColor = true;
+  far.effAlpha = 1023.0 / 1024.0;
+  dump.push_back(far);
+
+  android::UiNode plain;  // no content colour hashes as -1
+  plain.className = "ImageView";
+  plain.boundsOnScreen = {256, 65536, 1 << 24, 255};
+  plain.depth = 2;
+  plain.background = Color::fromArgb(0x01000000);
+  plain.contentColor = colors::kRed;  // ignored: hasContentColor is false
+  plain.effAlpha = std::nextafter(0.5, 0.0);
+  dump.push_back(plain);
+
+  android::UiNode decoration;  // skipped by both
+  decoration.className = "DarpaDecorationView";
+  decoration.boundsOnScreen = {20, 20, 40, 40};
+  dump.push_back(decoration);
+
+  android::UiNode web;
+  web.className = "android.widget.Button";
+  web.text = "Close";
+  web.boundsOnScreen = {300, 40, 24, 24};
+  web.depth = 4;
+  web.clickable = true;
+  web.contentColor = Color::fromArgb(0xFF000000);
+  web.hasContentColor = true;
+  web.effAlpha = 0.0;
+  web.isVirtual = true;
+  web.virtualId = "ad-close";
+  dump.push_back(web);
+  android::UiNode anonymous = web;  // empty virtualId
+  anonymous.virtualId.clear();
+  anonymous.text.clear();
+  anonymous.hasContentColor = false;
+  anonymous.depth = 5;
+  dump.push_back(anonymous);
+
+  EXPECT_EQ(android::WindowManager::fingerprint(dump),
+            byteLoopFingerprint(dump));
+  // Each crafted node reaches the hash on its own.
+  for (std::size_t drop = 0; drop < dump.size(); ++drop) {
+    android::UiDump fewer = dump;
+    fewer.erase(fewer.begin() + static_cast<std::ptrdiff_t>(drop));
+    EXPECT_EQ(android::WindowManager::fingerprint(fewer),
+              byteLoopFingerprint(fewer));
+  }
+
+  // Generated dumps, WebView interstitials included.
+  apps::ScreenGenerator::Params params;
+  params.webViewAuiProb = 1.0;
+  apps::ScreenGenerator gen(params, 17);
+  android::WindowManager wm;
+  for (int i = 0; i < 8; ++i) {
+    apps::AuiSpec spec = gen.randomSpec();
+    spec.host = i % 2 == 0 ? apps::AuiHost::kThirdParty : spec.host;
+    wm.showAppWindow("com.gen", gen.makeAui(spec).root, false);
+    const android::UiDump generated = wm.dumpTopWindow();
+    EXPECT_EQ(android::WindowManager::fingerprint(generated),
+              byteLoopFingerprint(generated));
+    wm.popAppWindow();
+  }
 }
 
 // -------------------------------------------------- pipeline + cache
