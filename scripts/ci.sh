@@ -43,8 +43,9 @@ echo "== configure + build, portable (build-portable/) =="
 # that do not depend on the host's lane width, so the bit-exactness suites
 # run again on a build with DARPA_NATIVE_SIMD off (baseline ISA). The
 # screen fingerprint is a bit-exact contract too (cached verdicts and the
-# fleet digests key on it), so its suites ride along.
-cmake -B build-portable -S . -DDARPA_NATIVE_SIMD=OFF
+# fleet digests key on it), so its suites ride along. This lane and the
+# perf lane build with -Werror, so a new compiler warning fails CI.
+cmake -B build-portable -S . -DDARPA_NATIVE_SIMD=OFF -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-portable -j "$JOBS" --target darpa_tests
 
 echo "== ctest, portable bit-exactness tests (build-portable/) =="
@@ -128,7 +129,7 @@ PYEOF
   # so this lane builds Release (-O3) and runs both benches at --quick
   # scale. Fatal on contract failure. The two binaries share the trained-model cache in
   # build-perf/bench, so the fleet bench reuses the hot-path bench's model.
-  cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
+  cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-perf -j "$JOBS" \
     --target bench_detector_hotpath --target bench_fleet_throughput
   (cd build-perf/bench && ./bench_detector_hotpath --quick)

@@ -9,6 +9,23 @@ namespace darpa::analysis {
 
 namespace {
 
+// Verdict: a merged score at/above kAuiThreshold flags the screen as AUI,
+// and the verdict is `confident` outside the two margins.
+constexpr double kAuiThreshold = 0.45;
+constexpr double kConfidentAuiScore = 0.60;
+constexpr double kConfidentCleanScore = 0.15;
+// Per-rule weights in the merged score (max finding score per rule).
+constexpr double kSizeAsymmetryWeight = 0.35;
+constexpr double kCornerUpoWeight = 0.25;
+constexpr double kContrastAsymmetryWeight = 0.25;
+constexpr double kIdHintWeight = 0.10;
+constexpr double kTouchTargetWeight = 0.05;
+constexpr double kHiddenClickableWeight = 0.05;
+// Screen-structure adjustments: modal scaffolding is AUI-shaped, a
+// symmetric option pair is the footnote-4 benign dialog.
+constexpr double kModalBonus = 0.15;
+constexpr double kSymmetricPairPenalty = 0.25;
+
 /// Fraction of `window` covered by `r`.
 double coverage(const Rect& r, const Rect& window) {
   if (window.empty()) return 0.0;
@@ -77,9 +94,23 @@ LintContext::LintContext(const android::UiDump& dump, Size screenSize)
     stack.push_back(i);
   }
 
+  // Clickables, and among them the dominant option and the dismiss-sized
+  // candidates every asymmetry rule compares.
+  const double minDominantArea =
+      kMinDominantAreaFrac * static_cast<double>(windowRect_.area());
+  std::int64_t dominantArea = 0;
   for (int i = 0; i < n; ++i) {
-    if (dump[i].clickable && !dump[i].boundsOnScreen.empty()) {
-      clickables_.push_back(i);
+    const Rect& b = dump[i].boundsOnScreen;
+    if (!dump[i].clickable || b.empty()) continue;
+    clickables_.push_back(i);
+    if (static_cast<double>(b.area()) >= minDominantArea &&
+        b.area() > dominantArea) {
+      dominantArea = b.area();
+      dominant_ = i;
+    }
+    if (b.area() <= kMaxDismissArea &&
+        std::min(b.width, b.height) <= kMaxDismissMinSide) {
+      dismiss_.push_back(i);
     }
   }
 
@@ -130,32 +161,6 @@ LintContext::LintContext(const android::UiDump& dump, Size screenSize)
   }
 }
 
-int LintContext::dominantClickable(double minAreaFrac) const {
-  const double minArea = minAreaFrac * static_cast<double>(windowRect_.area());
-  int best = -1;
-  std::int64_t bestArea = 0;
-  for (int i : clickables_) {
-    const std::int64_t area = (*dump_)[i].boundsOnScreen.area();
-    if (static_cast<double>(area) >= minArea && area > bestArea) {
-      bestArea = area;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::vector<int> LintContext::dismissCandidates(std::int64_t maxArea,
-                                                int maxMinSide) const {
-  std::vector<int> result;
-  for (int i : clickables_) {
-    const Rect& b = (*dump_)[i].boundsOnScreen;
-    if (b.area() <= maxArea && std::min(b.width, b.height) <= maxMinSide) {
-      result.push_back(i);
-    }
-  }
-  return result;
-}
-
 Color LintContext::effectiveBackdrop(int i) const {
   // Pre-order index order is paint order for backgrounds: every node with a
   // smaller index that contains this node's center is painted beneath it.
@@ -172,18 +177,12 @@ Color LintContext::effectiveBackdrop(int i) const {
   return color;
 }
 
-LintEngine::LintEngine() : LintEngine(Config{}) {}
-
 void LintEngine::addRule(std::unique_ptr<LintRule> rule) {
   rules_.push_back(std::move(rule));
 }
 
 LintEngine LintEngine::withDefaultRules() {
-  return withDefaultRules(Config{});
-}
-
-LintEngine LintEngine::withDefaultRules(Config config) {
-  LintEngine engine(config);
+  LintEngine engine;
   engine.addRule(std::make_unique<SizeAsymmetryRule>());
   engine.addRule(std::make_unique<CornerPlacementRule>());
   engine.addRule(std::make_unique<ContrastAsymmetryRule>());
@@ -193,20 +192,10 @@ LintEngine LintEngine::withDefaultRules(Config config) {
   return engine;
 }
 
-LintReport LintEngine::run(const android::UiDump& dump,
-                           Size screenSize) const {
-  LintReport report;
-  report.nodesVisited = static_cast<int>(dump.size());
-  const LintContext ctx(dump, screenSize);
-  for (const auto& rule : rules_) {
-    rule->run(ctx, report.findings);
-  }
-  report.verdict = merge(ctx, report.findings);
-  return report;
-}
+namespace {
 
-LintVerdict LintEngine::merge(const LintContext& ctx,
-                              const std::vector<LintFinding>& findings) const {
+LintVerdict mergeVerdict(const LintContext& ctx,
+                         const std::vector<LintFinding>& findings) {
   // Aggregate one score per rule: the best finding, except the id-hint rule
   // whose UPO/AGO hits corroborate each other and therefore sum (capped).
   auto ruleScore = [&](std::string_view ruleId, bool sum) {
@@ -217,36 +206,31 @@ LintVerdict LintEngine::merge(const LintContext& ctx,
     }
     return std::min(1.0, aggregated);
   };
+  auto structural = [](const LintFinding& f) {
+    return f.ruleId == "aui-size-asymmetry" || f.ruleId == "aui-corner-upo" ||
+           f.ruleId == "aui-contrast-asymmetry";
+  };
   // The structural asymmetry rules must carry the verdict: hygiene findings
   // (touch targets, id vocabulary) alone never flag a screen.
-  auto structuralAt = [&](Severity atLeast) {
-    for (const LintFinding& f : findings) {
-      if (f.severity < atLeast) continue;
-      if (f.ruleId == "aui-size-asymmetry" || f.ruleId == "aui-corner-upo" ||
-          f.ruleId == "aui-contrast-asymmetry") {
-        return true;
-      }
-    }
-    return false;
-  };
+  const bool structuralWarning =
+      std::any_of(findings.begin(), findings.end(), [&](const LintFinding& f) {
+        return f.severity >= Severity::kWarning && structural(f);
+      });
 
   LintVerdict verdict;
   double score =
-      config_.sizeAsymmetryWeight * ruleScore("aui-size-asymmetry", false) +
-      config_.cornerUpoWeight * ruleScore("aui-corner-upo", false) +
-      config_.contrastAsymmetryWeight *
-          ruleScore("aui-contrast-asymmetry", false) +
-      config_.idHintWeight * ruleScore("aui-id-hint", true) +
-      config_.touchTargetWeight * ruleScore("touch-target", false) +
-      config_.hiddenClickableWeight * ruleScore("hidden-clickable", false);
-  if (ctx.modal()) score += config_.modalBonus;
-  if (ctx.symmetricPair()) score -= config_.symmetricPairPenalty;
+      kSizeAsymmetryWeight * ruleScore("aui-size-asymmetry", false) +
+      kCornerUpoWeight * ruleScore("aui-corner-upo", false) +
+      kContrastAsymmetryWeight * ruleScore("aui-contrast-asymmetry", false) +
+      kIdHintWeight * ruleScore("aui-id-hint", true) +
+      kTouchTargetWeight * ruleScore("touch-target", false) +
+      kHiddenClickableWeight * ruleScore("hidden-clickable", false);
+  if (ctx.modal()) score += kModalBonus;
+  if (ctx.symmetricPair()) score -= kSymmetricPairPenalty;
   verdict.score = std::clamp(score, 0.0, 1.0);
-  verdict.isAui =
-      verdict.score >= config_.auiThreshold && structuralAt(Severity::kWarning);
-  verdict.confident =
-      verdict.isAui ? verdict.score >= config_.confidentAuiScore
-                    : verdict.score <= config_.confidentCleanScore;
+  verdict.isAui = verdict.score >= kAuiThreshold && structuralWarning;
+  verdict.confident = verdict.isAui ? verdict.score >= kConfidentAuiScore
+                                    : verdict.score <= kConfidentCleanScore;
 
   // Suspected option boxes, FraudDroidResult-shaped: dismiss-flavored
   // findings become UPO boxes; the dominant option and CTA-id hits AGO
@@ -259,22 +243,30 @@ LintVerdict LintEngine::merge(const LintContext& ctx,
     boxes.push_back(box);
   };
   for (const LintFinding& f : findings) {
-    if (f.ruleId == "aui-size-asymmetry" || f.ruleId == "aui-corner-upo" ||
-        f.ruleId == "aui-contrast-asymmetry") {
+    if (structural(f)) {
       pushUnique(verdict.upoBoxes, f.box);
     } else if (f.ruleId == "aui-id-hint") {
-      // The id rule tags its AGO hits by message prefix (see rules.cpp).
-      if (f.message.rfind("CTA", 0) == 0) {
-        pushUnique(verdict.agoBoxes, f.box);
-      } else {
-        pushUnique(verdict.upoBoxes, f.box);
-      }
+      pushUnique(f.appGuided ? verdict.agoBoxes : verdict.upoBoxes, f.box);
     }
   }
-  if (const int dominant = ctx.dominantClickable(0.02); dominant >= 0) {
+  if (const int dominant = ctx.dominantClickable(); dominant >= 0) {
     pushUnique(verdict.agoBoxes, ctx.dump()[dominant].boundsOnScreen);
   }
   return verdict;
+}
+
+}  // namespace
+
+LintReport LintEngine::run(const android::UiDump& dump,
+                           Size screenSize) const {
+  LintReport report;
+  report.nodesVisited = static_cast<int>(dump.size());
+  const LintContext ctx(dump, screenSize);
+  for (const auto& rule : rules_) {
+    rule->run(ctx, report.findings);
+  }
+  report.verdict = mergeVerdict(ctx, report.findings);
+  return report;
 }
 
 }  // namespace darpa::analysis

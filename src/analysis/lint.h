@@ -19,19 +19,19 @@
 //    app populations with no detector in the loop at all.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "android/window_manager.h"
-#include "baselines/frauddroid.h"
 #include "util/color.h"
 #include "util/geometry.h"
 
 namespace darpa::analysis {
 
-/// Diagnostic severity; each rule's severity ceiling is configurable.
+/// Diagnostic severity.
 enum class Severity { kInfo = 0, kWarning = 1, kError = 2 };
 
 [[nodiscard]] std::string_view severityName(Severity s);
@@ -45,6 +45,9 @@ struct LintFinding {
   int nodeIndex = -1;    ///< Index into the analyzed dump.
   Rect box;              ///< Screen coordinates of the offending view.
   double score = 0.0;    ///< Rule confidence in [0, 1].
+  /// Set by aui-id-hint on CTA-vocabulary hits: the box is a suspected
+  /// app-guided option rather than a dismiss one.
+  bool appGuided = false;
 };
 
 /// Merged screen-level verdict, shaped like baselines::FraudDroidResult so
@@ -52,7 +55,7 @@ struct LintFinding {
 struct LintVerdict {
   bool isAui = false;
   double score = 0.0;     ///< Merged AUI confidence in [0, 1].
-  bool confident = false; ///< Score clear of the configured margins; the
+  bool confident = false; ///< Score clear of the verdict margins; the
                           ///< runtime may short-circuit CV on this.
   std::vector<Rect> upoBoxes;  ///< Screen coords of suspected user options.
   std::vector<Rect> agoBoxes;  ///< Screen coords of suspected app options.
@@ -67,6 +70,15 @@ struct LintReport {
   /// Highest-scoring finding of a rule; nullptr when the rule didn't fire.
   [[nodiscard]] const LintFinding* best(std::string_view ruleId) const;
 };
+
+/// Dismiss-affordance geometry shared by the asymmetry rules: a clickable
+/// is a dismiss candidate (close cross, "skip" strip) when its area is at
+/// most kMaxDismissArea and its shorter side at most kMaxDismissMinSide...
+inline constexpr std::int64_t kMaxDismissArea = 2600;
+inline constexpr int kMaxDismissMinSide = 28;
+/// ...and the dominant option is the largest clickable covering at least
+/// this fraction of the window.
+inline constexpr double kMinDominantAreaFrac = 0.02;
 
 /// Pre-computed screen structure shared by every rule: hierarchy ranges
 /// reconstructed from the pre-order dump, the modal scaffolding (scrim and
@@ -101,13 +113,13 @@ class LintContext {
   [[nodiscard]] const std::vector<int>& clickables() const {
     return clickables_;
   }
-  /// Largest-area clickable covering >= minDominantAreaFrac of the window;
-  /// -1 when none qualifies.
-  [[nodiscard]] int dominantClickable(double minAreaFrac) const;
-  /// Small clickables sized like dismiss affordances (close crosses, "skip"
-  /// strips): area <= maxArea and min side <= maxMinSide.
-  [[nodiscard]] std::vector<int> dismissCandidates(std::int64_t maxArea,
-                                                   int maxMinSide) const;
+  /// Largest-area clickable covering >= kMinDominantAreaFrac of the window
+  /// (the first in paint order on ties); -1 when none qualifies.
+  [[nodiscard]] int dominantClickable() const { return dominant_; }
+  /// Clickables sized like dismiss affordances, in paint order.
+  [[nodiscard]] const std::vector<int>& dismissCandidates() const {
+    return dismiss_;
+  }
   /// Whether the screen offers two comparably prominent clickable options —
   /// the paper's footnote-4 symmetric dialog that must NOT count as AUI.
   [[nodiscard]] bool symmetricPair() const { return symmetricPair_; }
@@ -124,6 +136,8 @@ class LintContext {
   std::vector<int> subtreeEnd_;
   std::vector<std::string> paths_;
   std::vector<int> clickables_;
+  int dominant_ = -1;
+  std::vector<int> dismiss_;
   int scrimIndex_ = -1;
   int panelIndex_ = -1;
   Rect panelRect_;
@@ -131,8 +145,7 @@ class LintContext {
 };
 
 /// A lint rule: inspects the context and appends findings. Rules are
-/// independent; each has an enable flag and its own thresholds, and the
-/// engine owns the merge into a verdict.
+/// independent and stateless; the engine owns the merge into a verdict.
 class LintRule {
  public:
   virtual ~LintRule() = default;
@@ -147,31 +160,11 @@ class LintRule {
 /// dominant clickable surface (the dominant CTA / whole-creative ad).
 class SizeAsymmetryRule : public LintRule {
  public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// Dominant-to-dismiss area ratio that starts a finding.
-    double minAreaRatio = 10.0;
-    /// Ratio at which the finding saturates to score 1.
-    double saturationRatio = 40.0;
-    /// A clickable is "dominant" from this fraction of the window area.
-    double minDominantAreaFrac = 0.02;
-    /// Dismiss-candidate geometry.
-    std::int64_t maxDismissArea = 2600;
-    int maxDismissMinSide = 28;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  SizeAsymmetryRule();
-  explicit SizeAsymmetryRule(Config config) : config_(config) {}
   [[nodiscard]] std::string_view id() const override {
     return "aui-size-asymmetry";
   }
   void run(const LintContext& ctx,
            std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
 };
 
 /// "aui-corner-upo": the suspected user-preferred option hugs a corner or
@@ -179,27 +172,11 @@ class SizeAsymmetryRule : public LintRule {
 /// 73.1 % of UPOs are corner-pinned, 94.6 % of AGOs central).
 class CornerPlacementRule : public LintRule {
  public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// How close (px) to a panel corner/edge counts as pinned.
-    int cornerMargin = 14;
-    double minDominantAreaFrac = 0.02;
-    std::int64_t maxDismissArea = 2600;
-    int maxDismissMinSide = 28;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  CornerPlacementRule();
-  explicit CornerPlacementRule(Config config) : config_(config) {}
   [[nodiscard]] std::string_view id() const override {
     return "aui-corner-upo";
   }
   void run(const LintContext& ctx,
            std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
 };
 
 /// "aui-contrast-asymmetry": from declared colors alone, the app-guided
@@ -207,54 +184,21 @@ class CornerPlacementRule : public LintRule {
 /// dismiss option is muted or nearly transparent (ghost UPOs, §VI-B).
 class ContrastAsymmetryRule : public LintRule {
  public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// AGO-to-UPO perceived-contrast ratio that starts a finding.
-    double minProminenceRatio = 1.35;
-    /// Ratio at which the score saturates.
-    double saturationRatio = 3.5;
-    /// Effective alpha below which a clickable is a "ghost" on its own.
-    double ghostAlpha = 0.45;
-    double minDominantAreaFrac = 0.02;
-    std::int64_t maxDismissArea = 2600;
-    int maxDismissMinSide = 28;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  ContrastAsymmetryRule();
-  explicit ContrastAsymmetryRule(Config config) : config_(config) {}
   [[nodiscard]] std::string_view id() const override {
     return "aui-contrast-asymmetry";
   }
   void run(const LintContext& ctx,
            std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
 };
 
 /// "touch-target": clickable view smaller than the Android accessibility
-/// minimum (48 dp equivalent). A hygiene rule on its own, and the sub-48dp
-/// escape option is one of the paper's recurring AUI traits.
+/// minimum (48 dp equivalent). A hygiene rule, always a warning; the
+/// sub-48dp escape option is one of the paper's recurring AUI traits.
 class TouchTargetRule : public LintRule {
  public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kWarning;
-    int minSidePx = 48;       ///< Warning below this...
-    int criticalSidePx = 24;  ///< ...max severity below this.
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  TouchTargetRule();
-  explicit TouchTargetRule(Config config) : config_(config) {}
   [[nodiscard]] std::string_view id() const override { return "touch-target"; }
   void run(const LintContext& ctx,
            std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
 };
 
 /// "hidden-clickable": a clickable view rendered off-screen or fully
@@ -263,107 +207,42 @@ class TouchTargetRule : public LintRule {
 /// present in the hierarchy.
 class HiddenClickableRule : public LintRule {
  public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// Fraction of the view's area that must be off-screen to report.
-    double minOffscreenFrac = 0.5;
-    /// Occluders below this effective alpha don't hide what's beneath.
-    double minOccluderAlpha = 0.95;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  HiddenClickableRule();
-  explicit HiddenClickableRule(Config config) : config_(config) {}
   [[nodiscard]] std::string_view id() const override {
     return "hidden-clickable";
   }
   void run(const LintContext& ctx,
            std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
 };
 
-/// "aui-id-hint": FraudDroid-compatible resource-id vocabulary hints (small
-/// clickable with a dismiss token, prominent view with a CTA token). Info
-/// severity by default: obfuscation starves it (§VI-C), so it corroborates
-/// the structural rules rather than deciding on its own.
+/// "aui-id-hint": FraudDroid's resource-id vocabulary (small clickable with
+/// a dismiss token, prominent view with a CTA token). Always info severity:
+/// obfuscation starves it (§VI-C), so it corroborates the structural rules
+/// rather than deciding on its own. Virtual (WebView) nodes never carry
+/// resource ids, so their page-global ids and visible labels are matched
+/// against the same vocabularies at reduced confidence.
 class IdTokenRule : public LintRule {
  public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kInfo;
-    std::vector<std::string> upoTokens =
-        baselines::FraudDroidDetector::Config{}.upoIdTokens;
-    std::vector<std::string> agoTokens =
-        baselines::FraudDroidDetector::Config{}.agoIdTokens;
-    std::int64_t maxDismissArea = 8100;  ///< FraudDroid's 90x90 UPO cap.
-    double minAgoAreaFrac = 0.01;
-    /// Virtual (WebView) nodes never carry resource ids (§VI-C), so the
-    /// rule would otherwise silently pass over the whole subtree. Instead
-    /// it degrades gracefully: page-global virtual ids and visible labels
-    /// are matched against the same vocabularies, scaled down because web
-    /// ids are weaker evidence (minified, duplicated, page-controlled).
-    bool matchVirtualNodes = true;
-    double virtualEvidenceScale = 0.6;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  IdTokenRule();
-  explicit IdTokenRule(Config config) : config_(std::move(config)) {}
   [[nodiscard]] std::string_view id() const override { return "aui-id-hint"; }
   void run(const LintContext& ctx,
            std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
 };
 
 // -------------------------------------------------------------- engine
 
 class LintEngine {
  public:
-  struct Config {
-    /// Verdict: merged score at/above this flags the screen as AUI...
-    double auiThreshold = 0.45;
-    /// ...and the verdict is `confident` outside these margins.
-    double confidentAuiScore = 0.60;
-    double confidentCleanScore = 0.15;
-    /// Per-rule weights in the merged score (max finding score per rule).
-    double sizeAsymmetryWeight = 0.35;
-    double cornerUpoWeight = 0.25;
-    double contrastAsymmetryWeight = 0.25;
-    double idHintWeight = 0.10;
-    double touchTargetWeight = 0.05;
-    double hiddenClickableWeight = 0.05;
-    /// Screen-structure adjustments: modal scaffolding is AUI-shaped,
-    /// a symmetric option pair is the footnote-4 benign dialog.
-    double modalBonus = 0.15;
-    double symmetricPairPenalty = 0.25;
-  };
-
-  LintEngine();  // Config default initializers need the complete class.
-  explicit LintEngine(Config config) : config_(config) {}
-
   /// Registers a rule; run() applies them in registration order.
   void addRule(std::unique_ptr<LintRule> rule);
   [[nodiscard]] std::size_t ruleCount() const { return rules_.size(); }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Runs every rule over one dump and merges findings into a verdict.
   [[nodiscard]] LintReport run(const android::UiDump& dump,
                                Size screenSize) const;
 
-  /// Engine with the full default rule set registered.
+  /// Engine with the six built-in rules registered.
   [[nodiscard]] static LintEngine withDefaultRules();
-  [[nodiscard]] static LintEngine withDefaultRules(Config config);
 
  private:
-  [[nodiscard]] LintVerdict merge(const LintContext& ctx,
-                                  const std::vector<LintFinding>& findings) const;
-
-  Config config_;
   std::vector<std::unique_ptr<LintRule>> rules_;
 };
 

@@ -4,15 +4,18 @@
 
 namespace darpa::baselines {
 
-bool FraudDroidDetector::idMatchesAny(std::string_view resourceId,
-                                      const std::vector<std::string>& tokens) {
+bool idMatchesAny(std::string_view resourceId,
+                  std::span<const std::string_view> tokens) {
   if (resourceId.empty()) return false;
-  return std::any_of(tokens.begin(), tokens.end(), [&](const std::string& t) {
+  return std::any_of(tokens.begin(), tokens.end(), [&](std::string_view t) {
     return resourceId.find(t) != std::string_view::npos;
   });
 }
 
 namespace {
+
+/// A clickable covering this fraction of the screen is a dominant surface.
+constexpr double kDominantAreaFrac = 0.3;
 
 /// Appends `b` unless an identical box is already flagged. Duplicate page
 /// ids on co-located nodes (a real-web pattern the virtual dumps model)
@@ -38,18 +41,19 @@ FraudDroidResult FraudDroidDetector::analyze(const android::UiDump& dump,
     if (!node.resourceId.empty()) ++result.nodesWithId;
 
     // UPO: id token match + small-size placement feature.
-    if (node.clickable && idMatchesAny(node.resourceId, config_.upoIdTokens) &&
-        b.width <= config_.maxUpoSide && b.height <= config_.maxUpoSide) {
+    if (node.clickable && idMatchesAny(node.resourceId, kUpoIdTokens) &&
+        b.width <= kMaxUpoSide && b.height <= kMaxUpoSide) {
       pushUniqueBox(result.upoBoxes, b);
     }
     // AGO: id token match + prominent size.
-    if (idMatchesAny(node.resourceId, config_.agoIdTokens) &&
-        static_cast<double>(b.area()) >= config_.minAgoAreaFrac * screenArea) {
+    if (idMatchesAny(node.resourceId, kAgoIdTokens) &&
+        static_cast<double>(b.area()) >= kMinAgoAreaFrac * screenArea) {
       pushUniqueBox(result.agoBoxes, b);
     }
     // Fallback placement feature: any clickable surface dominating the
     // screen (full-screen ad creatives) counts as app-guided.
-    if (node.clickable && static_cast<double>(b.area()) >= 0.3 * screenArea) {
+    if (node.clickable &&
+        static_cast<double>(b.area()) >= kDominantAreaFrac * screenArea) {
       dominantClickable = true;
     }
   }

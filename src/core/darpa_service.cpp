@@ -13,6 +13,18 @@
 
 namespace darpa::core {
 
+namespace {
+
+/// Decorate at most this many options per class (most confident first);
+/// the product behaviour is one highlighted escape option + one warning.
+constexpr int kMaxDecorationsPerClass = 1;
+/// Auto-bypass cooldown: never re-click the same region within this window.
+/// Without it the bypass click's own accessibility events re-trigger
+/// analysis and, if the AUI survives the click, DARPA would click forever.
+constexpr Millis kBypassCooldown{3000};
+
+}  // namespace
+
 DarpaService::DarpaService(const cv::Detector& detector, DarpaConfig config)
     : detector_(&detector),
       config_(config),
@@ -138,13 +150,14 @@ void DarpaService::analyzeNow() {
       ledger_.recordSkip(Stage::kDetect);
     }
 
-    bool hasUpo = false;
-    bool hasAgo = false;
-    for (const cv::Detection& det : verdict.detections) {
-      if (det.label == dataset::BoxLabel::kUpo) hasUpo = true;
-      if (det.label == dataset::BoxLabel::kAgo) hasAgo = true;
-    }
-    verdict.isAui = config_.requireUpoForAui ? hasUpo : (hasUpo || hasAgo);
+    // A screen is an AUI when at least one UPO is detected (the detector's
+    // context features keep benign close buttons below threshold; see
+    // §IV-C footnote 4). An AGO alone never flags a screen.
+    verdict.isAui = std::any_of(
+        verdict.detections.begin(), verdict.detections.end(),
+        [](const cv::Detection& det) {
+          return det.label == dataset::BoxLabel::kUpo;
+        });
     ledger_.recordRun(Stage::kVerdict, ledger_.costs().verdictCpuMs);
     // Cache only verdicts that rest on real evidence (a lint resolution or
     // a usable capture); a transient screenshot failure must stay
@@ -302,7 +315,7 @@ void DarpaService::tryBypass(const std::vector<cv::Detection>& detections) {
   if (bestUpo == nullptr) return;
   const Millis now = looper() != nullptr ? looper()->now() : Millis{0};
   const bool repeat = iou(bestUpo->box, lastBypassBox_) > 0.8 &&
-                      now - lastBypassAt_ < config_.bypassCooldown;
+                      now - lastBypassAt_ < kBypassCooldown;
   if (repeat) return;
   // The cooldown covers attempts, not landed clicks: the dispatched gesture
   // itself raises touch events that re-trigger analysis, so an unconsumed
@@ -345,7 +358,7 @@ void DarpaService::decorateDetections(
   std::vector<cv::Detection> toDraw;
   for (const cv::Detection& det : selected) {
     int& kept = det.label == dataset::BoxLabel::kUpo ? upoKept : agoKept;
-    if (kept >= config_.maxDecorationsPerClass) continue;
+    if (kept >= kMaxDecorationsPerClass) continue;
     ++kept;
     toDraw.push_back(det);
   }
@@ -353,11 +366,11 @@ void DarpaService::decorateDetections(
     const bool isUpo = det.label == dataset::BoxLabel::kUpo;
     const Color color = isUpo ? config_.upoColor : config_.agoColor;
     auto view = std::make_unique<DecorationView>(
-        color, config_.decorationThickness,
+        color, kDecorationThickness,
         isUpo ? config_.upoStyle : config_.agoStyle);
     // Grow the box so the border ring sits around the option, then convert
     // screen -> window coordinates with the measured offset (Fig. 6).
-    const Rect target = det.box.inflated(config_.decorationThickness + 1);
+    const Rect target = det.box.inflated(kDecorationThickness + 1);
     android::LayoutParams lp;
     lp.x = target.x - windowOffset.x;
     lp.y = target.y - windowOffset.y;

@@ -59,7 +59,6 @@ struct DarpaConfig {
   /// AGO gets the warning color.
   Color upoColor = Color::rgb(30, 200, 80);
   Color agoColor = Color::rgb(230, 40, 40);
-  int decorationThickness = 3;
   /// User-customizable decoration shape (§IV-D: "we also allow users to
   /// customize the shape and color of the decoration view").
   DecorationStyle upoStyle = DecorationStyle::kRect;
@@ -68,18 +67,6 @@ struct DarpaConfig {
   /// packages are ignored entirely — "selectively running DARPA on those
   /// less-trusted apps" cuts the overhead on trusted ones.
   std::set<std::string> trustedPackages;
-  /// Decorate at most this many options per class (most confident first);
-  /// the product behaviour is one highlighted escape option + one warning.
-  int maxDecorationsPerClass = 1;
-  /// A screen is flagged as an AUI when at least one UPO is detected (the
-  /// detector's context features keep benign close buttons below
-  /// threshold; see §IV-C footnote 4).
-  bool requireUpoForAui = true;
-  /// Auto-bypass cooldown: never re-click the same region within this
-  /// window. Without it the bypass click's own accessibility events
-  /// re-trigger analysis and, if the AUI survives the click, DARPA would
-  /// click forever.
-  Millis bypassCooldown{3000};
   /// Optional static-lint pre-filter (borrowed; must outlive the service).
   /// When set, every stable screen is linted from its UI dump first — a
   /// zero-screenshot pass costing microseconds — and screens the lint

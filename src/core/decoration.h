@@ -10,6 +10,9 @@
 
 namespace darpa::core {
 
+/// Border width (px) of every decoration ring DARPA draws.
+inline constexpr int kDecorationThickness = 3;
+
 /// Decoration shapes (the paper lets users customize shape and color).
 enum class DecorationStyle {
   kRect,     ///< Rectangular border ring (default).

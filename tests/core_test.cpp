@@ -156,8 +156,8 @@ TEST(DarpaServiceTest, DecoratesUpoWithCalibratedOffset) {
   ASSERT_EQ(rects.size(), 1u);
   // The decoration ring must sit around the detection box ON SCREEN —
   // i.e., the §IV-D calibration corrected for the status-bar offset.
-  const Rect expected = Rect{100, 100, 20, 20}.inflated(
-      h.service.darpaConfig().decorationThickness + 1);
+  const Rect expected =
+      Rect{100, 100, 20, 20}.inflated(kDecorationThickness + 1);
   EXPECT_EQ(rects[0], expected);
 }
 

@@ -606,35 +606,35 @@ TEST(ActPathTest, FlaggingWithoutDecorationSkipsAnchor) {
 // ordered "ph": "X" trace spans (name, simulated ts, modeled dur).
 
 /// Lint rule scripted by the screen: a node whose resource id is
-/// "lint:<score>" yields one structural finding of that score on the
-/// node's bounds. With the size-asymmetry weight at 1 the merged lint
-/// score equals the scripted one, so a screen picks its lint verdict:
-/// 0.0 is confident-clean, 0.3 unconfident, 0.9 confident-AUI.
+/// "lint:<score>" yields one finding of that score on the node's bounds
+/// under each of the three structural rule ids. Their weights sum to 0.85
+/// and the route screen is neither modal nor a symmetric pair, so the
+/// merged lint score is 0.85x the scripted one and a screen picks its lint
+/// verdict: 0.0 is confident-clean, 0.3 unconfident, 0.9 confident-AUI.
 class ScriptedLintRule : public analysis::LintRule {
  public:
-  [[nodiscard]] std::string_view id() const override {
-    return "aui-size-asymmetry";
-  }
+  [[nodiscard]] std::string_view id() const override { return "scripted"; }
   void run(const analysis::LintContext& ctx,
            std::vector<analysis::LintFinding>& out) const override {
     for (std::size_t i = 0; i < ctx.dump().size(); ++i) {
       const android::UiNode& node = ctx.dump()[i];
       if (node.resourceId.rfind("lint:", 0) != 0) continue;
-      analysis::LintFinding finding;
-      finding.ruleId = std::string(id());
-      finding.severity = analysis::Severity::kError;
-      finding.nodeIndex = static_cast<int>(i);
-      finding.box = node.boundsOnScreen;
-      finding.score = std::stod(node.resourceId.substr(5));
-      out.push_back(finding);
+      for (const char* ruleId : {"aui-size-asymmetry", "aui-corner-upo",
+                                 "aui-contrast-asymmetry"}) {
+        analysis::LintFinding finding;
+        finding.ruleId = ruleId;
+        finding.severity = analysis::Severity::kError;
+        finding.nodeIndex = static_cast<int>(i);
+        finding.box = node.boundsOnScreen;
+        finding.score = std::stod(node.resourceId.substr(5));
+        out.push_back(finding);
+      }
     }
   }
 };
 
 analysis::LintEngine scriptedLint() {
-  analysis::LintEngine::Config config;
-  config.sizeAsymmetryWeight = 1.0;
-  analysis::LintEngine engine(config);
+  analysis::LintEngine engine;
   engine.addRule(std::make_unique<ScriptedLintRule>());
   return engine;
 }

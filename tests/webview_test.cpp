@@ -410,8 +410,11 @@ TEST(VirtualLintTraversalTest, DeepFlattenedChainDoesNotOverflow) {
 TEST(VirtualLintTraversalTest, WideFlattenedForestTraversesInDocumentOrder) {
   VirtualNode page = vnode(VirtualRole::kWebArea, "page", {0, 0, 300, 400});
   for (int i = 0; i < 3000; ++i) {
-    page.children.push_back(vnode(VirtualRole::kStaticText,
-                                  "n" + std::to_string(i),
+    // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+    // "n" + std::to_string(i).
+    std::string id = "n";
+    id += std::to_string(i);
+    page.children.push_back(vnode(VirtualRole::kStaticText, std::move(id),
                                   {i % 280, (i / 280) % 380, 4, 4}));
   }
   const UiDump dump = dumpOfWebScreen(page);
@@ -585,14 +588,6 @@ TEST(IdTokenRuleVirtualTest, MatchesVirtualIdsAndLabelsAtReducedScale) {
   // Reduced confidence: virtual evidence is scaled below the native 0.4.
   EXPECT_LT(report.best("aui-id-hint")->score, 0.4);
   EXPECT_GE(report.findings.size(), 2u);
-
-  // Graceful, not silent: disabling virtual matching reverts to the old
-  // pass-over, without touching native behavior.
-  analysis::IdTokenRule::Config offConfig;
-  offConfig.matchVirtualNodes = false;
-  analysis::LintEngine offEngine;
-  offEngine.addRule(std::make_unique<analysis::IdTokenRule>(offConfig));
-  EXPECT_FALSE(offEngine.run(dump, {360, 720}).has("aui-id-hint"));
 }
 
 // ----------------------------- decoration through the host (tentpole)
@@ -633,8 +628,7 @@ TEST(VirtualDecorationTest, DecorateVirtualNodeTargetsBoundsThroughHost) {
   const std::vector<Rect> rects = service.decorationRects();
   ASSERT_EQ(rects.size(), 1u);
   EXPECT_EQ(rects[0],
-            close->boundsOnScreen.inflated(
-                service.darpaConfig().decorationThickness + 1));
+            close->boundsOnScreen.inflated(core::kDecorationThickness + 1));
 
   // Decoration immunity extends to hybrid dumps: the decorated screen
   // fingerprints identically, so caches keyed on it stay warm.
